@@ -8,7 +8,6 @@
 //! boolean capability accessors.
 
 use crate::wire::{Reader, WireError, Writer};
-use serde::{Deserialize, Serialize};
 use shs_groups::schnorr::SchnorrPreset;
 use shs_gsig::params::GsigPreset;
 use shs_net::DeliveryPolicy;
@@ -35,7 +34,7 @@ fn from_tag<T: Copy>(all: &[T], tag: u8) -> Result<T, WireError> {
 }
 
 /// Which group-signature scheme instantiates the framework's GSIG slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// §8.1 as shipped: Kiayias–Yung signatures with per-signature random
     /// `T7`, verifier-local revocation via the member CRL. Unlinkability,
@@ -74,7 +73,7 @@ impl SchemeKind {
 /// Which CGKD scheme backs the group (the **C** of GCD is pluggable,
 /// §5: "any centralized group key distribution scheme satisfying the
 /// functionality and security requirements ... can be integrated").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CgkdChoice {
     /// Logical Key Hierarchy (Wong–Gouda–Lam): stateful members,
     /// `O(log n)` rekeying. The default.
@@ -97,7 +96,7 @@ impl CgkdChoice {
 }
 
 /// Configuration of one group (one `GA`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupConfig {
     /// GSIG parameter preset.
     pub gsig_preset: GsigPreset,
@@ -189,7 +188,7 @@ impl Default for GroupConfig {
 
 /// Which phases of `GCD.Handshake` run (§7 remark: the protocol is
 /// tailorable; traceability can be dropped by stopping after Phase II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePolicy {
     /// All three phases (traceable).
     Full,
@@ -199,7 +198,7 @@ pub enum TracePolicy {
 
 /// Which DGKA protocol runs Phase I (the framework is a compiler: any
 /// secure group key agreement slots in, §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DgkaChoice {
     /// Burmester–Desmedt \[11\]: two broadcast rounds, constant
     /// exponentiations per party. The default.
@@ -240,7 +239,7 @@ impl TracePolicy {
 /// always terminates within `base + min(max_exchanges, labels ×
 /// retries_per_round)` exchanges, with slots that could not recover
 /// reporting a structured abort instead of hanging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionBudget {
     /// Hard cap on total exchanges (base + retransmissions); once
     /// reached, no further retransmissions are attempted.
@@ -264,7 +263,7 @@ impl Default for SessionBudget {
 }
 
 /// Options of one handshake session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandshakeOptions {
     /// Phase policy.
     pub policy: TracePolicy,

@@ -7,18 +7,17 @@
 use crate::schnorr::SchnorrGroup;
 use crate::GroupError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::Ubig;
 
 /// An ElGamal public key `y = g^x`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     /// `g^x mod p`.
     pub y: Ubig,
 }
 
 /// An ElGamal secret key `x`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct SecretKey {
     /// The discrete log of `y`.
     pub x: Ubig,
@@ -31,7 +30,7 @@ impl std::fmt::Debug for SecretKey {
 }
 
 /// An ElGamal ciphertext `(c1, c2) = (g^r, m·y^r)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     /// `g^r`.
     pub c1: Ubig,

@@ -7,11 +7,10 @@
 
 use crate::schnorr::SchnorrGroup;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::Ubig;
 
 /// Commitment parameters: two generators with unknown mutual discrete log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitParams {
     /// First base (the group generator).
     pub g: Ubig,
@@ -20,11 +19,11 @@ pub struct CommitParams {
 }
 
 /// A Pedersen commitment `g^m h^r`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Commitment(pub Ubig);
 
 /// The opening `(m, r)` of a commitment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Opening {
     /// Committed value.
     pub m: Ubig,

@@ -7,7 +7,6 @@
 
 use crate::GroupError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{crt::CrtCtx, gcd, jacobi, mont::MontCtx, prime, rng as brng, Int, Ubig};
 use shs_crypto::hkdf;
 use std::sync::Arc;
@@ -20,14 +19,14 @@ pub struct RsaGroup {
 }
 
 /// Serializable form of [`RsaGroup`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsaParams {
     /// The modulus `n = pq`.
     pub n: Ubig,
 }
 
 /// The factorization trapdoor held by the group manager.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct RsaSecret {
     /// Safe prime `p = 2p' + 1`.
     pub p: Ubig,

@@ -19,7 +19,6 @@ use crate::proofs::{self, Transcript};
 use crate::tables::FixedBasePair;
 use crate::GsigError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{rng as brng, Int, Ubig};
 use shs_groups::rsa::{RsaGroup, RsaParams, RsaSecret};
 
@@ -55,7 +54,7 @@ pub struct GroupPublicKey {
 }
 
 /// Serializable form of [`GroupPublicKey`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupPublicKeyParams {
     /// Interval parameters.
     pub params: GsigParams,
@@ -177,7 +176,7 @@ impl GroupPublicKey {
 }
 
 /// An ACJT signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// `A·y^w`.
     pub t1: Ubig,
@@ -202,7 +201,7 @@ pub struct Signature {
 }
 
 /// A member's signing key: `(A, e, x)` with `x` known only to the member.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MemberKey {
     /// Pseudonymous identity.
     pub id: MemberId,
@@ -226,7 +225,7 @@ impl std::fmt::Debug for MemberKey {
 
 /// GM-side member record: note there is **no** tracing trapdoor — only the
 /// certificate, preserving full-anonymity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemberRecord {
     /// Member identity.
     pub id: MemberId,
@@ -259,7 +258,7 @@ impl std::fmt::Debug for GroupManager {
 }
 
 /// Member's first join message: commitment `C = a^x` plus PoK of `x ∈ Λ`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinRequest {
     /// `C = a^x`.
     pub commitment: Ubig,
@@ -295,7 +294,7 @@ impl Drop for JoinSecret {
 }
 
 /// GM's join reply.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinResponse {
     /// Assigned identity.
     pub id: MemberId,

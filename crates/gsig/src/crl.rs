@@ -8,7 +8,6 @@
 //! revocation tokens of [`crate::ky`].
 
 use crate::ky::{GroupPublicKey, RevocationToken, Signature};
-use serde::{Deserialize, Serialize};
 use shs_crypto::sha256;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -24,7 +23,7 @@ use std::sync::{Mutex, OnceLock};
 /// `(fingerprint, version, signature tags)`: every re-check of a known
 /// signature is an `O(1)` table hit, from any clone of the same CRL
 /// state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Crl {
     /// Monotone version; bumped on every revocation.
     pub version: u64,
@@ -46,7 +45,7 @@ fn memo() -> &'static Mutex<HashMap<[u8; 32], bool>> {
 }
 
 /// An incremental CRL update (what actually travels in rekey messages).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrlDelta {
     /// Version the delta applies on top of.
     pub from_version: u64,

@@ -32,12 +32,11 @@ use crate::proofs::{self, Transcript};
 use crate::tables::FixedBasePair;
 use crate::GsigError;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use shs_bigint::{rng as brng, Int, Ubig};
 use shs_groups::rsa::{RsaGroup, RsaParams, RsaSecret};
 
 /// An opaque member identity assigned by the group manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MemberId(pub u64);
 
 impl std::fmt::Display for MemberId {
@@ -79,7 +78,7 @@ struct SignTables {
 }
 
 /// Serializable form of [`GroupPublicKey`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupPublicKeyParams {
     /// Interval parameters.
     pub params: GsigParams,
@@ -220,7 +219,7 @@ impl GroupPublicKey {
 }
 
 /// The seven tags of a KY signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tags {
     /// `A·y^r`.
     pub t1: Ubig,
@@ -247,7 +246,7 @@ impl Tags {
 }
 
 /// A KY group signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Signature {
     /// The tags `T1..T7`.
     pub tags: Tags,
@@ -280,7 +279,7 @@ pub enum SignBasis<'a> {
 }
 
 /// A member's signing key.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MemberKey {
     /// The member's pseudonymous identity.
     pub id: MemberId,
@@ -310,7 +309,7 @@ impl std::fmt::Debug for MemberKey {
 }
 
 /// A registry entry kept by the group manager.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemberRecord {
     /// Member identity.
     pub id: MemberId,
@@ -327,7 +326,7 @@ pub struct MemberRecord {
 /// A verifier-local revocation token: the revoked member's tracing
 /// trapdoor. Distributed to members inside encrypted CGKD updates (the
 /// paper's member-only CRL).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevocationToken {
     /// Identity being revoked (informational).
     pub id: MemberId,
@@ -365,7 +364,7 @@ impl std::fmt::Debug for GroupManager {
 
 /// First message of the interactive join: the member commits to its
 /// claiming secret `C = b^{x'}` and proves knowledge of `x' ∈ Λ`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinRequest {
     /// `C = b^{x'}`.
     pub commitment: Ubig,
@@ -401,7 +400,7 @@ impl Drop for JoinSecret {
 }
 
 /// The GM's reply: the certificate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinResponse {
     /// Assigned identity.
     pub id: MemberId,
@@ -416,7 +415,7 @@ pub struct JoinResponse {
 /// Output of [`GroupManager::open`]: the signer plus a Chaum–Pedersen
 /// proof that the opening is correct (the "incontestable evidence" of the
 /// paper's `Open`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Opening {
     /// The identified signer.
     pub id: MemberId,
@@ -427,7 +426,7 @@ pub struct Opening {
 }
 
 /// Chaum–Pedersen discrete-log-equality proof for openings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpeningProof {
     /// Fiat–Shamir challenge.
     pub c: Ubig,
@@ -1131,7 +1130,7 @@ pub fn verify_with_crl(
 /// revealing `x'` — that a given signature is its own. This is the
 /// claiming feature of the Kiayias–Yung scheme the paper's Appendix H
 /// points out ("(T6, T7) allows one to claim its signatures").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Claim {
     /// Fiat–Shamir challenge.
     pub c: Ubig,

@@ -228,11 +228,6 @@ impl FaultPlan {
         &self.counters
     }
 
-    /// Number of exchanges the plan has seen.
-    pub fn exchanges(&self) -> u32 {
-        self.exchanges
-    }
-
     /// Is `slot` crash-stopped as of the current exchange?
     pub fn crashed(&self, slot: usize) -> bool {
         self.rules.iter().any(|r| {

@@ -7,7 +7,7 @@
 //! claims the framework still works (§1.1 flexibility) — exercised by the
 //! E10 experiment.
 //!
-//! [`run_session_with_faults`] weakens the guarantee: the hub consults a
+//! [`run_session_with`] weakens the guarantee: the hub consults a
 //! [`FaultPlan`] on every relay, so deliveries may be lost, duplicated,
 //! mangled, delayed, or cut by a partition, and crash-stopped parties go
 //! silent after their `after_round`-th broadcast. Party bodies that must
@@ -32,12 +32,11 @@
 use crate::clock::SharedClock;
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
+use crate::wire::{Origin, Wire};
 use crate::{NetError, PartyLink};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -77,7 +76,7 @@ impl Default for HubConfig {
 
 /// A message in flight.
 #[derive(Debug, Clone)]
-struct Wire {
+struct Envelope {
     from_slot: usize,
     round: String,
     payload: Vec<u8>,
@@ -88,8 +87,8 @@ pub struct PartyHandle {
     slot: usize,
     slots: usize,
     recv_deadline: Duration,
-    to_hub: Sender<Wire>,
-    from_hub: Receiver<Wire>,
+    to_hub: Sender<Envelope>,
+    from_hub: Receiver<Envelope>,
 }
 
 impl std::fmt::Debug for PartyHandle {
@@ -113,7 +112,7 @@ impl PartyHandle {
     /// bounded inbox is at capacity (backpressure); a send to a hub that
     /// already shut down is silently discarded, matching radio semantics.
     pub fn broadcast(&self, round: &str, payload: Vec<u8>) {
-        let _ = self.to_hub.send(Wire {
+        let _ = self.to_hub.send(Envelope {
             from_slot: self.slot,
             round: round.to_string(),
             payload,
@@ -183,6 +182,19 @@ impl PartyHandle {
     /// copies are discarded (first one wins); out-of-round arrivals are
     /// skipped as in [`PartyHandle::collect_round`].
     pub fn collect_round_within(&self, round: &str, timeout: Duration) -> Vec<Option<Vec<u8>>> {
+        self.gather(round, timeout, &mut |_, _| true).0
+    }
+
+    /// The deadline-bounded collect behind [`PartyHandle::collect_round_within`]
+    /// and [`PartyLink::collect`]: first copy per slot that passes `valid`,
+    /// until every slot has one or `timeout` runs out. A dead hub ends it
+    /// early with what arrived and the error.
+    fn gather(
+        &self,
+        round: &str,
+        timeout: Duration,
+        valid: &mut dyn FnMut(usize, &[u8]) -> bool,
+    ) -> (Vec<Option<Vec<u8>>>, Option<NetError>) {
         let deadline = Instant::now() + timeout;
         let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
         let mut count = 0;
@@ -193,15 +205,17 @@ impl PartyHandle {
             }
             match self.recv_timeout(left) {
                 Ok((from, r, payload)) => {
-                    if r == round && from < self.slots && got[from].is_none() {
-                        got[from] = Some(payload);
+                    let cell = got.get_mut(from).filter(|c| c.is_none());
+                    if let Some(cell) = cell.filter(|_| r == round && valid(from, &payload)) {
+                        *cell = Some(payload);
                         count += 1;
                     }
                 }
-                Err(_) => break,
+                Err(NetError::Timeout) => break,
+                Err(e) => return (got, Some(e)),
             }
         }
-        got
+        (got, None)
     }
 }
 
@@ -229,32 +243,10 @@ impl PartyLink for PartyHandle {
         timeout: Duration,
         valid: &mut dyn FnMut(usize, &[u8]) -> bool,
     ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
-        let deadline = Instant::now() + timeout;
-        let mut got: Vec<Option<Vec<u8>>> = vec![None; self.slots];
-        let mut count = 0;
-        while count < self.slots {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match self.recv_timeout(left) {
-                Ok((from, r, payload)) => {
-                    if r == round
-                        && from < self.slots
-                        && got.get(from).is_some_and(Option::is_none)
-                        && valid(from, &payload)
-                    {
-                        if let Some(cell) = got.get_mut(from) {
-                            *cell = Some(payload);
-                            count += 1;
-                        }
-                    }
-                }
-                Err(NetError::Timeout) => break,
-                Err(e) => return Err(e),
-            }
+        match self.gather(round, timeout, valid) {
+            (_, Some(e)) => Err(e),
+            (got, None) => Ok(got),
         }
-        Ok(got)
     }
 }
 
@@ -273,30 +265,22 @@ where
     T: Send + 'static,
     F: FnOnce(PartyHandle) -> T + Send + 'static,
 {
-    run_session_with_faults(m, seed, FaultPlan::new(seed), bodies)
-}
-
-/// [`run_session`] over a faulty medium with default flow control.
-///
-/// # Panics
-///
-/// Panics if a party thread panics.
-pub fn run_session_with_faults<T, F>(
-    m: usize,
-    seed: u64,
-    plan: FaultPlan,
-    bodies: Vec<F>,
-) -> (Vec<T>, TrafficLog)
-where
-    T: Send + 'static,
-    F: FnOnce(PartyHandle) -> T + Send + 'static,
-{
-    run_session_with_config(m, seed, plan, HubConfig::default(), bodies)
+    run_session_with(
+        m,
+        seed,
+        FaultPlan::new(seed),
+        HubConfig::default(),
+        crate::clock::wall(),
+        bodies,
+    )
 }
 
 /// [`run_session`] over a faulty medium with explicit [`HubConfig`] flow
-/// control: the hub consults `plan` on every relay. The final
-/// [`TrafficLog`] carries the plan's fault counters.
+/// control: every relay goes through [`Wire::broadcast`] under `plan`,
+/// and the final [`TrafficLog`] carries the plan's fault counters plus
+/// the hub's backpressure drops. `clock` governs the delivery-patience
+/// wait: the wall clock blocks, a virtual clock advances simulated time
+/// instead.
 ///
 /// The crash-stop clock here is **per sender**: a `CrashStop { slot,
 /// after_round }` rule silences `slot` once it has broadcast
@@ -308,33 +292,10 @@ where
 /// # Panics
 ///
 /// Panics if a party thread panics.
-pub fn run_session_with_config<T, F>(
+pub fn run_session_with<T, F>(
     m: usize,
     seed: u64,
     plan: FaultPlan,
-    config: HubConfig,
-    bodies: Vec<F>,
-) -> (Vec<T>, TrafficLog)
-where
-    T: Send + 'static,
-    F: FnOnce(PartyHandle) -> T + Send + 'static,
-{
-    run_session_with_clock(m, seed, plan, config, crate::clock::wall(), bodies)
-}
-
-/// [`run_session_with_config`] with an explicit [`crate::clock::Clock`]
-/// governing the hub's delivery-patience wait. The wall clock (the
-/// default everywhere else) reproduces the old blocking behaviour; a
-/// virtual clock makes a stalled-receiver wait advance simulated time
-/// instead of wall time.
-///
-/// # Panics
-///
-/// Panics if a party thread panics.
-pub fn run_session_with_clock<T, F>(
-    m: usize,
-    seed: u64,
-    mut plan: FaultPlan,
     config: HubConfig,
     clock: SharedClock,
     bodies: Vec<F>,
@@ -345,11 +306,11 @@ where
 {
     // lint:allow(panic-path) reason="public API precondition documented under # Panics; harness configuration, not wire data"
     assert_eq!(bodies.len(), m, "one body per slot");
-    let (to_hub, hub_in) = bounded::<Wire>(config.channel_capacity);
+    let (to_hub, hub_in) = bounded::<Envelope>(config.channel_capacity);
     let mut party_txs = Vec::with_capacity(m);
     let mut handles = Vec::with_capacity(m);
     for slot in 0..m {
-        let (tx, rx) = bounded::<Wire>(config.channel_capacity);
+        let (tx, rx) = bounded::<Envelope>(config.channel_capacity);
         party_txs.push(tx);
         handles.push(PartyHandle {
             slot,
@@ -361,18 +322,16 @@ where
     }
     drop(to_hub);
 
-    let log = Arc::new(Mutex::new(TrafficLog::new()));
-    let hub_log = Arc::clone(&log);
     let hub = thread::spawn(move || {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut pending: Vec<Wire> = Vec::new();
-        let mut sent_by: Vec<u64> = vec![0; m];
+        let mut wire = Wire::new(Some(plan));
+        let mut pending: Vec<Envelope> = Vec::new();
         let mut bp_dropped: u64 = 0;
         // Push one delivery into a party inbox, waiting out transient
         // fullness up to the configured patience; a stubbornly full (or
         // disconnected) inbox loses the message instead of wedging the
         // hub.
-        let deliver = |tx: &Sender<Wire>, mut w: Wire, bp_dropped: &mut u64| {
+        let deliver = |tx: &Sender<Envelope>, mut w: Envelope, bp_dropped: &mut u64| {
             // The patience window runs on the injected clock: a virtual
             // clock's sleep advances time, so the loop still terminates
             // after `delivery_patience` without any real waiting.
@@ -392,52 +351,32 @@ where
                 }
             }
         };
-        let relay = |w: Wire,
-                     plan: &mut FaultPlan,
-                     sent_by: &mut Vec<u64>,
-                     bp_dropped: &mut u64,
-                     rng: &mut StdRng| {
-            // Crash-stop: the sender dies after its `after_round`-th
-            // broadcast; later messages never reach the wire or the log.
-            if let Some(after) = plan.crash_budget(w.from_slot) {
-                if sent_by[w.from_slot] >= u64::from(after) {
-                    plan.note_crash_silenced();
-                    return;
+        let relay = |w: Envelope, wire: &mut Wire, bp_dropped: &mut u64, rng: &mut StdRng| {
+            let mut released = Vec::new();
+            let mut fresh = Vec::new();
+            wire.broadcast(&w.round, w.from_slot, &w.payload, m, |a| {
+                if let Some(payload) = a.payload {
+                    let copy = (a.from_slot, a.to_slot, payload);
+                    match a.origin {
+                        Origin::Released(_) => released.push(copy),
+                        Origin::Fresh(_) => fresh.push(copy),
+                    }
                 }
-            }
-            sent_by[w.from_slot] += 1;
-            hub_log.lock().record(&w.round, w.from_slot, &w.payload);
-            // Release deliveries delayed until a retransmission of this
-            // round label; their receiver order is adversarial too.
-            let mut due = plan.begin_exchange(&w.round);
-            for i in (1..due.len()).rev() {
+            });
+            // Released copies reach their receivers in adversarial order.
+            for i in (1..released.len()).rev() {
                 let j = rng.gen_range(0..=i);
-                due.swap(i, j);
+                released.swap(i, j);
             }
-            for d in due {
-                if let Some(tx) = party_txs.get(d.to_slot) {
-                    deliver(
-                        tx,
-                        Wire {
-                            from_slot: d.from_slot,
-                            round: w.round.clone(),
-                            payload: d.payload,
-                        },
-                        bp_dropped,
-                    );
-                }
-            }
-            for (to_slot, tx) in party_txs.iter().enumerate() {
-                for copy in plan.deliver(&w.round, w.from_slot, to_slot, w.payload.clone()) {
-                    deliver(
-                        tx,
-                        Wire {
-                            from_slot: w.from_slot,
-                            round: w.round.clone(),
-                            payload: copy,
-                        },
-                        bp_dropped,
-                    );
+            for (from_slot, to_slot, payload) in released.into_iter().chain(fresh) {
+                if let Some(tx) = party_txs.get(to_slot) {
+                    let round = w.round.clone();
+                    let env = Envelope {
+                        from_slot,
+                        round,
+                        payload,
+                    };
+                    deliver(tx, env, bp_dropped);
                 }
             }
         };
@@ -462,15 +401,14 @@ where
             // adversarial order relative to other messages).
             let idx = rng.gen_range(0..pending.len());
             let w = pending.swap_remove(idx);
-            relay(w, &mut plan, &mut sent_by, &mut bp_dropped, &mut rng);
+            relay(w, &mut wire, &mut bp_dropped, &mut rng);
         }
         // Flush anything left after senders disconnected.
         while let Some(w) = pending.pop() {
-            relay(w, &mut plan, &mut sent_by, &mut bp_dropped, &mut rng);
+            relay(w, &mut wire, &mut bp_dropped, &mut rng);
         }
-        let mut counters = plan.counters().clone();
-        counters.backpressure_dropped = bp_dropped;
-        hub_log.lock().set_faults(counters);
+        wire.set_backpressure_dropped(bp_dropped);
+        wire.log().clone()
     });
 
     let threads: Vec<thread::JoinHandle<T>> = handles
@@ -484,9 +422,7 @@ where
         .map(|t| t.join().expect("party thread"))
         .collect();
     // lint:allow(panic-path) reason="propagates a hub-thread panic to the harness caller, documented under # Panics"
-    hub.join().expect("hub thread");
-    // lint:allow(panic-path) reason="hub thread joined above, so the log Arc is uniquely held here"
-    let log = Arc::try_unwrap(log).expect("hub done").into_inner();
+    let log = hub.join().expect("hub thread");
     (outputs, log)
 }
 
@@ -581,7 +517,14 @@ mod tests {
                 }
             })
             .collect();
-        let (outputs, log) = run_session_with_faults(m, 5, plan, bodies);
+        let (outputs, log) = run_session_with(
+            m,
+            5,
+            plan,
+            HubConfig::default(),
+            crate::clock::wall(),
+            bodies,
+        );
         assert_eq!(outputs[0], vec![true, true, false], "slot 0 misses slot 2");
         assert_eq!(outputs[1], vec![true, true, true]);
         assert_eq!(outputs[2], vec![true, true, true]);
@@ -608,7 +551,14 @@ mod tests {
                 }
             })
             .collect();
-        let (outputs, log) = run_session_with_faults(m, 7, plan, bodies);
+        let (outputs, log) = run_session_with(
+            m,
+            7,
+            plan,
+            HubConfig::default(),
+            crate::clock::wall(),
+            bodies,
+        );
         for (r1_got, r2_got) in outputs {
             assert_eq!(r1_got, m, "everyone alive in r1");
             assert_eq!(r2_got, m - 1, "slot 1 silent in r2");
@@ -632,7 +582,14 @@ mod tests {
                 }
             })
             .collect();
-        let (outputs, log) = run_session_with_faults(m, 2, plan, bodies);
+        let (outputs, log) = run_session_with(
+            m,
+            2,
+            plan,
+            HubConfig::default(),
+            crate::clock::wall(),
+            bodies,
+        );
         assert_eq!(outputs, vec![m, m], "first copy wins, extras discarded");
         assert!(log.faults().duplicated >= 1);
     }
@@ -691,7 +648,14 @@ mod tests {
                 }
             })
             .collect();
-        let (outputs, log) = run_session_with_config(m, 6, FaultPlan::new(6), config, bodies);
+        let (outputs, log) = run_session_with(
+            m,
+            6,
+            FaultPlan::new(6),
+            config,
+            crate::clock::wall(),
+            bodies,
+        );
         // Every flooded message was either delivered or accounted as a
         // backpressure drop — none vanished silently.
         let delivered = outputs[1];

@@ -28,11 +28,12 @@
 //! By default both media guarantee delivery, matching the paper's system
 //! model. Installing a [`fault::FaultPlan`] (via
 //! [`sync::BroadcastNet::set_fault_plan`] or
-//! [`hub::run_session_with_faults`]) weakens the medium to a lossy,
+//! [`hub::run_session_with`]) weakens the medium to a lossy,
 //! malicious network: deliveries may be dropped, duplicated, corrupted,
 //! truncated, delayed to a later retransmission, cut by a partition, or
-//! silenced entirely by a crash-stopped sender. Two invariants hold
-//! regardless of the plan:
+//! silenced entirely by a crash-stopped sender. Every medium applies the
+//! plan through one rule, [`wire::Wire`], so two invariants hold
+//! regardless of the plan and the medium:
 //!
 //! * **The eavesdropper log records what senders put on the wire.**
 //!   Per-receiver faults (drop/corrupt/truncate/delay/partition) never
@@ -49,6 +50,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Defines a struct of `u64` tallies that are all additive, plus the
+/// field-wise `+=` (by reference) that sums one into another. The sum is
+/// generated from the field list, so a new field cannot be left out of
+/// it.
+macro_rules! additive_counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: u64,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: u64,)*
+        }
+
+        impl std::ops::AddAssign<&$name> for $name {
+            fn add_assign(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
 pub mod clock;
 pub mod fault;
 pub mod hub;
@@ -56,12 +81,12 @@ pub mod observe;
 pub mod serve;
 pub mod sync;
 pub mod tcp;
+pub mod wire;
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Delivery-order policy of the medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryPolicy {
     /// Messages of a round are delivered in slot order (synchronous
     /// model).
@@ -113,28 +138,21 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Transport-level robustness counters a medium accumulates alongside
-/// the fault tallies in [`observe::FaultCounters`]. In-process media
-/// report zeros; the TCP transport counts real socket events so the
-/// hardened runtime's session accounting
-/// (`shs-core`'s `SessionStats`) can surface them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TransportCounters {
-    /// Successful re-attachments after a lost connection (each one cost
-    /// at least one backoff sleep).
-    pub reconnects: u64,
-    /// Read or write deadlines that expired on a live connection.
-    pub deadline_timeouts: u64,
-    /// Heartbeat frames sent to keep an idle connection observable.
-    pub heartbeats: u64,
-}
-
-impl TransportCounters {
-    /// Component-wise sum.
-    pub fn merge(&mut self, other: &TransportCounters) {
-        self.reconnects += other.reconnects;
-        self.deadline_timeouts += other.deadline_timeouts;
-        self.heartbeats += other.heartbeats;
+additive_counters! {
+    /// Transport-level robustness counters a medium accumulates alongside
+    /// the fault tallies in [`observe::FaultCounters`]. In-process media
+    /// report zeros; the TCP transport counts real socket events so the
+    /// hardened runtime's session accounting
+    /// (`shs-core`'s `SessionStats`) can surface them.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TransportCounters {
+        /// Successful re-attachments after a lost connection (each one cost
+        /// at least one backoff sleep).
+        pub reconnects: u64,
+        /// Read or write deadlines that expired on a live connection.
+        pub deadline_timeouts: u64,
+        /// Heartbeat frames sent to keep an idle connection observable.
+        pub heartbeats: u64,
     }
 }
 

@@ -6,10 +6,8 @@
 //! a failed or simulated one — and check that nothing but the payload
 //! randomness differs: same rounds, same slots, same sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// One observed transmission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficRecord {
     /// Protocol-phase label (e.g. `"dgka-round1"`, `"phase2-mac"`).
     pub round: String,
@@ -19,32 +17,34 @@ pub struct TrafficRecord {
     pub payload: Vec<u8>,
 }
 
-/// Per-fault-kind tallies of injected faults (see [`crate::fault`]).
-///
-/// Exposed through [`TrafficLog::faults`] so tests and benches can assert
-/// exactly which faults fired during a session.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultCounters {
-    /// Deliveries silently discarded.
-    pub dropped: u64,
-    /// Extra copies injected.
-    pub duplicated: u64,
-    /// Payload copies with flipped bits.
-    pub corrupted: u64,
-    /// Payload copies cut short.
-    pub truncated: u64,
-    /// Deliveries held back for a later matching exchange.
-    pub delayed: u64,
-    /// Held-back deliveries that eventually arrived.
-    pub redelivered: u64,
-    /// Broadcasts suppressed because the sender crash-stopped.
-    pub crash_silenced: u64,
-    /// Deliveries cut by a network partition.
-    pub partitioned: u64,
-    /// Deliveries the threaded hub shed because a receiver's bounded
-    /// inbox stayed full past its delivery patience (flow control, not
-    /// an injected fault — but still a loss the runtime must absorb).
-    pub backpressure_dropped: u64,
+additive_counters! {
+    /// Per-fault-kind tallies of injected faults (see [`crate::fault`]).
+    ///
+    /// Exposed through [`TrafficLog::faults`] so tests and benches can assert
+    /// exactly which faults fired during a session.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FaultCounters {
+        /// Deliveries silently discarded.
+        pub dropped: u64,
+        /// Extra copies injected.
+        pub duplicated: u64,
+        /// Payload copies with flipped bits.
+        pub corrupted: u64,
+        /// Payload copies cut short.
+        pub truncated: u64,
+        /// Deliveries held back for a later matching exchange.
+        pub delayed: u64,
+        /// Held-back deliveries that eventually arrived.
+        pub redelivered: u64,
+        /// Broadcasts suppressed because the sender crash-stopped.
+        pub crash_silenced: u64,
+        /// Deliveries cut by a network partition.
+        pub partitioned: u64,
+        /// Deliveries the threaded hub shed because a receiver's bounded
+        /// inbox stayed full past its delivery patience (flow control, not
+        /// an injected fault — but still a loss the runtime must absorb).
+        pub backpressure_dropped: u64,
+    }
 }
 
 impl FaultCounters {
@@ -62,7 +62,7 @@ impl FaultCounters {
 }
 
 /// An ordered log of observed transmissions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficLog {
     records: Vec<TrafficRecord>,
     faults: FaultCounters,

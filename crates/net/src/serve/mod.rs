@@ -47,8 +47,8 @@ pub use registry::{
     TerminalClass,
 };
 pub use session::{
-    live_slots, AttemptContext, AttemptOutcome, AttemptRecord, AttemptVerdict, SessionJob,
-    SessionSpec,
+    attempt_seed, live_slots, next_step, AttemptContext, AttemptOutcome, AttemptRecord,
+    AttemptVerdict, SessionJob, SessionSpec, Step,
 };
 pub use shed::{backoff_delay, DecoyShape, ShapeBook};
 
@@ -349,7 +349,7 @@ impl Service {
     pub fn stats(&self) -> RegistryStats {
         let mut total = RegistryStats::default();
         for shard in self.shards.iter() {
-            total.absorb(&shard.lock().stats());
+            total += &shard.lock().stats();
         }
         total
     }

@@ -168,44 +168,31 @@ impl SessionEntry {
     }
 }
 
-/// Aggregate registry counters (derived, cheap to snapshot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Sessions ever admitted (including shed ones).
-    pub submitted: u64,
-    /// Entries not yet in a terminal state.
-    pub active: u64,
-    /// Entries in [`SessionState::Completed`].
-    pub completed: u64,
-    /// Entries in [`SessionState::Aborted`] (including shed).
-    pub aborted: u64,
-    /// Entries classified [`TerminalClass::Shed`].
-    pub shed: u64,
-    /// Total attempts recorded across all sessions.
-    pub attempts: u64,
-    /// Total survivor re-formations across all sessions.
-    pub reformations: u64,
-    /// Illegal lifecycle transitions that were requested (and refused).
-    pub illegal_transitions: u64,
-    /// Messages lost to backpressure across every recorded attempt
-    /// (bounded-queue sheds in the hub, outbox sheds at the TCP relay).
-    pub backpressure_dropped: u64,
-}
-
-impl RegistryStats {
-    /// Adds another registry's counters into this one — every field is
-    /// additive, so the sharded service's aggregate view is the
-    /// field-wise sum of its per-shard registries.
-    pub fn absorb(&mut self, other: &RegistryStats) {
-        self.submitted += other.submitted;
-        self.active += other.active;
-        self.completed += other.completed;
-        self.aborted += other.aborted;
-        self.shed += other.shed;
-        self.attempts += other.attempts;
-        self.reformations += other.reformations;
-        self.illegal_transitions += other.illegal_transitions;
-        self.backpressure_dropped += other.backpressure_dropped;
+additive_counters! {
+    /// Aggregate registry counters (derived, cheap to snapshot). Every
+    /// field is additive: the sharded service's aggregate view is the
+    /// `+=` sum of its per-shard registries.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RegistryStats {
+        /// Sessions ever admitted (including shed ones).
+        pub submitted: u64,
+        /// Entries not yet in a terminal state.
+        pub active: u64,
+        /// Entries in [`SessionState::Completed`].
+        pub completed: u64,
+        /// Entries in [`SessionState::Aborted`] (including shed).
+        pub aborted: u64,
+        /// Entries classified [`TerminalClass::Shed`].
+        pub shed: u64,
+        /// Total attempts recorded across all sessions.
+        pub attempts: u64,
+        /// Total survivor re-formations across all sessions.
+        pub reformations: u64,
+        /// Illegal lifecycle transitions that were requested (and refused).
+        pub illegal_transitions: u64,
+        /// Messages lost to backpressure across every recorded attempt
+        /// (bounded-queue sheds in the hub, outbox sheds at the TCP relay).
+        pub backpressure_dropped: u64,
     }
 }
 

@@ -218,71 +218,120 @@ pub(crate) fn drive(
             session_id: id,
             attempt,
             roster: roster.clone(),
-            seed: config
-                .seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(id)
-                .wrapping_add(u64::from(attempt) << 32),
+            seed: attempt_seed(config.seed, id, attempt),
         };
         let outcome = spec.job.run_attempt(&ctx);
         let live = live_slots(&roster, &outcome.traffic);
         if attempt == 0 && outcome.traffic.faults().total() == 0 {
             summary.clean_traffic = Some(outcome.traffic.clone());
         }
-        let verdict = outcome.verdict;
         let _ = registry.lock().record_attempt(
             id,
             AttemptRecord {
                 attempt,
                 roster: roster.clone(),
-                verdict,
+                verdict: outcome.verdict,
                 live_slots: live.clone(),
                 traffic: outcome.traffic,
             },
         );
-        match verdict {
-            AttemptVerdict::Success => {
-                let _ = classify(registry, id, TerminalClass::Accepted);
+        let step = next_step(
+            outcome.verdict,
+            live,
+            &ctx,
+            spec.max_attempts,
+            draining.load(Ordering::SeqCst),
+            deadline.saturating_duration_since(Instant::now()),
+            (config.backoff_base, config.backoff_cap),
+        );
+        match step {
+            Step::Terminal(class) => {
+                let _ = classify(registry, id, class);
                 return summary;
             }
-            AttemptVerdict::Failure => {
-                let _ = classify(registry, id, TerminalClass::Rejected);
-                return summary;
-            }
-            AttemptVerdict::Abort => {
-                if draining.load(Ordering::SeqCst) {
-                    let _ = classify(registry, id, TerminalClass::Drained);
-                    return summary;
-                }
-                if live.len() < 2 {
-                    let _ = classify(registry, id, TerminalClass::TooFewSurvivors);
-                    return summary;
-                }
-                if attempt + 1 >= spec.max_attempts {
-                    let _ = classify(registry, id, TerminalClass::Exhausted);
-                    return summary;
-                }
-                if live.len() < roster.len() {
-                    // Survivor re-formation: retry among the live slots.
+            Step::Retry {
+                roster: next,
+                reformed,
+                backoff,
+            } => {
+                if reformed {
                     let _ = registry.lock().note_reformation(id);
-                    roster = live;
                 }
+                roster = next;
                 attempt += 1;
-                // Jittered exponential backoff, clipped to what the
-                // deadline leaves and polled against drain so shutdown
-                // is never stuck behind a sleep. The wait runs on the
-                // configured clock: a virtual clock advances instead of
-                // blocking, so simulated retries are free.
-                let mut wait =
-                    backoff_delay(attempt, config.backoff_base, config.backoff_cap, ctx.seed);
-                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
-                let slept_until = config.clock.now() + wait;
+                // Poll drain during the backoff so shutdown is never
+                // stuck behind a sleep. The wait runs on the configured
+                // clock: a virtual clock advances instead of blocking,
+                // so simulated retries are free.
+                let slept_until = config.clock.now() + backoff;
                 while config.clock.now() < slept_until && !draining.load(Ordering::SeqCst) {
-                    config.clock.sleep(Duration::from_millis(1).min(wait));
+                    config.clock.sleep(Duration::from_millis(1).min(backoff));
                 }
             }
         }
     }
+}
+
+/// The seed of attempt `attempt` of session `session` under the
+/// service seed `base`: fresh randomness every retry, so a re-formed
+/// session never reuses nonces or transcripts.
+pub fn attempt_seed(base: u64, session: SessionId, attempt: u32) -> u64 {
+    base.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(session)
+        .wrapping_add(u64::from(attempt) << 32)
+}
+
+/// What the attempt loop does after an attempt (see [`next_step`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Step {
+    /// The session ends in this class.
+    Terminal(TerminalClass),
+    /// Run another attempt among `roster` after waiting `backoff`.
+    Retry {
+        /// Original-roster indices of the next attempt.
+        roster: Vec<usize>,
+        /// Whether `roster` shrank to the survivors (a re-formation).
+        reformed: bool,
+        /// Jittered exponential backoff, clipped to the time left.
+        backoff: Duration,
+    },
+}
+
+/// The attempt policy, one decision at a time: how the attempt `ctx`
+/// ended (`verdict`, and the roster members `live` showed to be live)
+/// decides between a terminal class and a retry. An aborted attempt
+/// ends the session when the service is `draining`, when fewer than two
+/// members survive (no retry storm) or when `max_attempts` are spent;
+/// otherwise it retries among the survivors — re-forming when some
+/// member went quiet — after a [`backoff_delay`] on `(base, cap)`
+/// clipped to the `remaining` deadline. Both the service's worker loop
+/// and the `shs-sim` capacity harness decide through this function.
+pub fn next_step(
+    verdict: AttemptVerdict,
+    live: Vec<usize>,
+    ctx: &AttemptContext,
+    max_attempts: u32,
+    draining: bool,
+    remaining: Duration,
+    (base, cap): (Duration, Duration),
+) -> Step {
+    let class = match verdict {
+        AttemptVerdict::Success => TerminalClass::Accepted,
+        AttemptVerdict::Failure => TerminalClass::Rejected,
+        AttemptVerdict::Abort if draining => TerminalClass::Drained,
+        AttemptVerdict::Abort if live.len() < 2 => TerminalClass::TooFewSurvivors,
+        AttemptVerdict::Abort if ctx.attempt + 1 >= max_attempts => TerminalClass::Exhausted,
+        AttemptVerdict::Abort => {
+            let reformed = live.len() < ctx.roster.len();
+            let backoff = backoff_delay(ctx.attempt + 1, base, cap, ctx.seed).min(remaining);
+            return Step::Retry {
+                roster: if reformed { live } else { ctx.roster.clone() },
+                reformed,
+                backoff,
+            };
+        }
+    };
+    Step::Terminal(class)
 }
 
 #[cfg(test)]

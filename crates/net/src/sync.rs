@@ -7,10 +7,13 @@
 //! (the paper's asynchronous model assumes guaranteed delivery; Fig. 5)
 //! *unless* a [`FaultPlan`] is installed, in which case deliveries may be
 //! dropped, duplicated, corrupted, truncated, delayed or partitioned, and
-//! crash-stopped senders go silent — see [`crate::fault`].
+//! crash-stopped senders go silent — see [`crate::fault`]. The fault and
+//! logging rule itself lives in [`crate::wire`]; this medium adds the
+//! delivery-order policy.
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
+use crate::wire::Wire;
 use crate::{DeliveryPolicy, Medium, NetError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,9 +48,8 @@ pub type Interceptor<'a> = Box<dyn FnMut(InterceptCtx<'_>, &mut Vec<u8>) + 'a>;
 pub struct BroadcastNet<'a> {
     slots: usize,
     policy: DeliveryPolicy,
-    log: TrafficLog,
+    wire: Wire,
     interceptor: Option<Interceptor<'a>>,
-    fault_plan: Option<FaultPlan>,
     reorder_rng: Option<StdRng>,
 }
 
@@ -58,7 +60,7 @@ impl std::fmt::Debug for BroadcastNet<'_> {
             "BroadcastNet {{ slots: {}, policy: {:?}, observed: {} msgs }}",
             self.slots,
             self.policy,
-            self.log.len()
+            self.wire.log().len()
         )
     }
 }
@@ -73,9 +75,8 @@ impl<'a> BroadcastNet<'a> {
         BroadcastNet {
             slots,
             policy,
-            log: TrafficLog::new(),
+            wire: Wire::new(None),
             interceptor: None,
-            fault_plan: None,
             reorder_rng,
         }
     }
@@ -87,13 +88,13 @@ impl<'a> BroadcastNet<'a> {
 
     /// Installs a fault schedule; delivery is no longer guaranteed.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = Some(plan);
+        self.wire.set_plan(plan);
     }
 
     /// The installed fault schedule, if any (e.g. to query
     /// [`FaultPlan::crashed_slots`] or inspect counters mid-session).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
+        self.wire.plan()
     }
 
     /// Number of party slots.
@@ -103,7 +104,7 @@ impl<'a> BroadcastNet<'a> {
 
     /// The eavesdropper's log so far.
     pub fn traffic(&self) -> &TrafficLog {
-        &self.log
+        self.wire.log()
     }
 
     /// Performs one broadcast round: `outgoing[i]` is slot `i`'s broadcast
@@ -123,71 +124,22 @@ impl<'a> BroadcastNet<'a> {
         if outgoing.len() != self.slots {
             return Err(NetError::IncompleteRound);
         }
-        // Advance the fault clock: release deliveries delayed until this
-        // (retransmission) exchange and decide which senders are dead.
-        let mut due = Vec::new();
-        let mut silent = vec![false; self.slots];
-        if let Some(plan) = self.fault_plan.as_mut() {
-            due = plan.begin_exchange(round);
-            for (slot, muted) in silent.iter_mut().enumerate() {
-                *muted = plan.suppress_send(slot);
-            }
-        }
-        // The eavesdropper logs what actually hit the wire: everything a
-        // live sender broadcast (per-receiver faults happen downstream of
-        // the observer), nothing from a crash-stopped sender.
-        for (slot, payload) in outgoing.iter().enumerate() {
-            if !silent[slot] {
-                self.log.record(round, slot, payload);
-            }
-        }
-        let mut inboxes = Vec::with_capacity(self.slots);
-        for to_slot in 0..self.slots {
-            let mut inbox: Vec<Received> = Vec::with_capacity(self.slots);
-            for (from_slot, payload) in outgoing.iter().enumerate() {
-                if silent[from_slot] {
-                    continue;
-                }
-                let mut payload = payload.clone();
-                if let Some(hook) = self.interceptor.as_mut() {
-                    hook(
-                        InterceptCtx {
-                            round,
-                            from_slot,
-                            to_slot,
-                        },
-                        &mut payload,
-                    );
-                }
-                match self.fault_plan.as_mut() {
-                    Some(plan) => {
-                        for copy in plan.deliver(round, from_slot, to_slot, payload) {
-                            inbox.push(Received {
-                                from_slot,
-                                payload: copy,
-                            });
-                        }
-                    }
-                    None => inbox.push(Received { from_slot, payload }),
-                }
-            }
-            for r in due.iter().filter(|r| r.to_slot == to_slot) {
-                inbox.push(Received {
-                    from_slot: r.from_slot,
-                    payload: r.payload.clone(),
-                });
-            }
-            if let Some(rng) = self.reorder_rng.as_mut() {
-                // Fisher–Yates with the adversary's coins.
+        let outgoing: Vec<Option<Vec<u8>>> = outgoing.into_iter().map(Some).collect();
+        let mut inboxes = self.wire.lockstep(
+            round,
+            &outgoing,
+            |_| true,
+            self.interceptor.as_mut(),
+            |_| {},
+        );
+        if let Some(rng) = self.reorder_rng.as_mut() {
+            // Fisher–Yates with the adversary's coins.
+            for inbox in &mut inboxes {
                 for i in (1..inbox.len()).rev() {
                     let j = rng.gen_range(0..=i);
                     inbox.swap(i, j);
                 }
             }
-            inboxes.push(inbox);
-        }
-        if let Some(plan) = self.fault_plan.as_ref() {
-            self.log.set_faults(plan.counters().clone());
         }
         Ok(inboxes)
     }
@@ -207,13 +159,11 @@ impl Medium for BroadcastNet<'_> {
     }
 
     fn traffic_snapshot(&self) -> TrafficLog {
-        self.log.clone()
+        self.wire.log().clone()
     }
 
     fn crashed_slots(&self) -> Vec<usize> {
-        self.fault_plan
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.crashed_slots(self.slots))
+        self.wire.crashed_slots(self.slots)
     }
 }
 

@@ -184,7 +184,7 @@ impl Medium for TcpSession {
     fn transport_counters(&self) -> TransportCounters {
         let mut total = self.relay.counters();
         for conn in self.conns.iter().flatten() {
-            total.merge(&conn.counters());
+            total += &conn.counters();
         }
         total
     }
@@ -248,7 +248,7 @@ impl TcpParty {
     /// Re-dials the relay and reclaims this party's seat.
     fn reattach(&mut self) -> Result<(), NetError> {
         let at = attach(self.addr, &self.sup, Some(self.slot))?;
-        self.counters.merge(&self.conn.counters());
+        self.counters += &self.conn.counters();
         self.counters.reconnects += 1 + u64::from(at.failed_attempts);
         self.conn = at.conn;
         Ok(())
@@ -256,7 +256,7 @@ impl TcpParty {
 
     /// Graceful leave: `Bye`, half-close, drain.
     pub fn finish(mut self) {
-        self.counters.merge(&self.conn.counters());
+        self.counters += &self.conn.counters();
         self.conn.goodbye();
     }
 }
@@ -347,7 +347,7 @@ impl PartyLink for TcpParty {
 
     fn transport_counters(&self) -> TransportCounters {
         let mut total = self.counters;
-        total.merge(&self.conn.counters());
+        total += &self.conn.counters();
         total
     }
 }

@@ -6,17 +6,15 @@
 //! after a lost connection), then every `Broadcast` frame they send is
 //! gathered into per-round batches. When a batch is complete — or the
 //! round deadline expires after its first frame — the relay runs one
-//! *exchange*, exactly mirroring [`crate::sync::BroadcastNet`]:
-//!
-//! 1. the installed [`FaultPlan`]'s delay clock advances
-//!    (`begin_exchange`) and crash-stopped senders are suppressed,
-//! 2. the eavesdropper's [`TrafficLog`] records what each live sender
-//!    put on the wire (per-receiver faults happen downstream),
-//! 3. every receiver's inbox is built through [`FaultPlan::deliver`] —
-//!    frames in flight may be dropped, duplicated, corrupted,
-//!    truncated, delayed to a later matching exchange, or cut by a
-//!    partition — and shipped as `Broadcast` frames followed by one
-//!    `RoundEnd`.
+//! *exchange* through [`Wire::lockstep`], the same fault-delivery rule
+//! [`crate::sync::BroadcastNet`] runs, with the [`FaultPlan`] at the
+//! framing boundary: crash-stopped senders go silent, the
+//! eavesdropper's log records what each live sender put on the wire,
+//! and frames in flight may then be dropped, duplicated, corrupted,
+//! truncated, delayed to a later matching exchange, or cut by a
+//! partition. Each live seat's inbox ships as `Broadcast` frames
+//! followed by one `RoundEnd`; seats that vanished are masked out as
+//! receivers, so the plan spends no coins on them.
 //!
 //! Because parties retransmit independently in the distributed setting,
 //! the relay keeps each seat's **last payload per round label** and
@@ -24,7 +22,11 @@
 //! retransmission exchange fires: every exchange carries one payload
 //! per live slot, so retransmissions stay shape-uniform on the wire
 //! exactly as the lockstep engine's all-slots-retransmit rule
-//! guarantees in-process.
+//! guarantees in-process. A retransmission exchange fires on the first
+//! fresh frame; a stood-in seat's own copy of the same send, still in
+//! flight then, is absorbed when it arrives instead of firing one more
+//! exchange, so a lockstep retransmission of all slots is one exchange
+//! here too.
 //!
 //! A receiver that stops draining its socket past the write deadline
 //! loses frames (tallied as
@@ -35,6 +37,7 @@ use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
 use crate::tcp::conn::{ConnConfig, FramedConn};
 use crate::tcp::frame::{Frame, VERSION};
+use crate::wire::Wire;
 use crate::{NetError, TransportCounters};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -383,8 +386,13 @@ struct CoreState {
     cache: Vec<HashMap<String, Vec<u8>>>,
     /// Frames waiting for a later exchange (other labels, duplicates).
     stash: VecDeque<(usize, String, Vec<u8>)>,
-    plan: Option<FaultPlan>,
-    log: TrafficLog,
+    /// Per seat, the label whose cached payload stood in for it in the
+    /// last exchange, until the seat's next frame. That frame, when it
+    /// repeats the cached payload, is the seat's own copy of the send the
+    /// exchange already carried (still in flight when it fired), and is
+    /// absorbed rather than firing a second exchange.
+    stood_in: Vec<Option<String>>,
+    wire: Wire,
     bp_dropped: u64,
 }
 
@@ -402,12 +410,22 @@ impl CoreState {
                 if let Some(v) = self.vanished.get_mut(slot) {
                     *v = false;
                 }
+                // What a re-attached seat sends next makes up for its lost
+                // connection; none of it is an in-flight copy to absorb.
+                if let Some(stood_in) = self.stood_in.get_mut(slot) {
+                    *stood_in = None;
+                }
             }
             Event::Frame {
                 slot,
                 round,
                 payload,
             } => {
+                let stood_in = self.stood_in.get_mut(slot).and_then(Option::take);
+                let cached = self.cache.get(slot).and_then(|c| c.get(&round));
+                if stood_in.as_ref() == Some(&round) && cached == Some(&payload) {
+                    return;
+                }
                 if slot < self.m {
                     if self.stash.len() >= STASH_CAP {
                         self.stash.pop_front();
@@ -445,10 +463,7 @@ impl CoreState {
     /// All currently crashed seats: fault-plan crashes plus vanished
     /// connections.
     fn crashed(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .plan
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.crashed_slots(self.m));
+        let mut out: Vec<usize> = self.wire.crashed_slots(self.m);
         for (s, v) in self.vanished.iter().enumerate() {
             if *v && !out.contains(&s) {
                 out.push(s);
@@ -460,72 +475,56 @@ impl CoreState {
 
     fn publish(&self, shared: &Mutex<Shared>, done: bool) {
         let mut sh = shared.lock();
-        sh.log = self.log.clone();
-        // lint:allow(lock-order) reason="crashed() reaches FaultPlan::crashed_slots, which holds no lock; the analyzer's name-based resolution lands on RelayHandle::crashed_slots (which locks shared) instead"
+        sh.log = self.wire.log().clone();
+        // lint:allow(lock-order) reason="crashed() reaches Wire::crashed_slots, which holds no lock; the analyzer's name-based resolution lands on RelayHandle::crashed_slots (which locks shared) instead"
         sh.crashed = self.crashed();
         sh.done = done;
     }
 
-    /// Runs one exchange over `batch` (fresh frames per seat), exactly
-    /// mirroring `BroadcastNet::exchange` with the plan at the framing
-    /// boundary.
-    fn run_exchange(&mut self, label: &str, mut batch: Vec<Option<Vec<u8>>>) {
+    /// Runs one exchange over `batch` (fresh frames per seat) through
+    /// [`Wire::lockstep`], the rule `BroadcastNet::exchange` runs too,
+    /// with vanished seats masked out as receivers. The log is published
+    /// before any frame ships, so a party that has its inbox can read a
+    /// log that already holds the exchange.
+    fn run_exchange(
+        &mut self,
+        label: &str,
+        mut batch: Vec<Option<Vec<u8>>>,
+        shared: &Mutex<Shared>,
+    ) {
         // Live seats that did not re-send: their cached payload for this
         // label stands in, keeping retransmissions all-slots-uniform.
         for (s, cell) in batch.iter_mut().enumerate() {
             if cell.is_none() && self.alive.get(s).copied().unwrap_or(false) {
                 if let Some(p) = self.cache.get(s).and_then(|c| c.get(label)) {
                     *cell = Some(p.clone());
+                    if let Some(stood_in) = self.stood_in.get_mut(s) {
+                        *stood_in = Some(label.to_string());
+                    }
                 }
             }
         }
-        let due = self
-            .plan
-            .as_mut()
-            .map_or_else(Vec::new, |p| p.begin_exchange(label));
-        let mut silent = vec![false; self.m];
-        if let Some(plan) = self.plan.as_mut() {
-            for (slot, muted) in silent.iter_mut().enumerate() {
-                *muted = plan.suppress_send(slot);
-            }
-        }
-        // The eavesdropper logs what live senders put on the wire.
-        for (s, payload) in batch.iter().enumerate() {
-            if let Some(p) = payload {
-                if !silent.get(s).copied().unwrap_or(false) {
-                    self.log.record(label, s, p);
-                }
-            }
-        }
-        for to in 0..self.m {
+        let alive = &self.alive;
+        let inboxes = self.wire.lockstep(
+            label,
+            &batch,
+            |to| alive.get(to).copied().unwrap_or(false),
+            None,
+            |_| {},
+        );
+        self.publish(shared, false);
+        for (to, inbox) in inboxes.into_iter().enumerate() {
             if !self.alive.get(to).copied().unwrap_or(false) {
                 continue;
             }
-            let mut outbox: Vec<Frame> = Vec::new();
-            for (from, payload) in batch.iter().enumerate() {
-                let Some(p) = payload else { continue };
-                if silent.get(from).copied().unwrap_or(false) {
-                    continue;
-                }
-                let copies = match self.plan.as_mut() {
-                    Some(plan) => plan.deliver(label, from, to, p.clone()),
-                    None => vec![p.clone()],
-                };
-                for copy in copies {
-                    outbox.push(Frame::Broadcast {
-                        round: label.to_string(),
-                        from_slot: from as u32,
-                        payload: copy,
-                    });
-                }
-            }
-            for r in due.iter().filter(|r| r.to_slot == to) {
-                outbox.push(Frame::Broadcast {
+            let mut outbox: Vec<Frame> = inbox
+                .into_iter()
+                .map(|r| Frame::Broadcast {
                     round: label.to_string(),
                     from_slot: r.from_slot as u32,
-                    payload: r.payload.clone(),
-                });
-            }
+                    payload: r.payload,
+                })
+                .collect();
             outbox.push(Frame::RoundEnd {
                 round: label.to_string(),
             });
@@ -537,14 +536,8 @@ impl CoreState {
                 c.insert(label.to_string(), p);
             }
         }
-        if let Some(plan) = self.plan.as_ref() {
-            let mut counters = plan.counters().clone();
-            counters.backpressure_dropped += self.bp_dropped;
-            self.log.set_faults(counters);
-        } else if self.bp_dropped > 0 {
-            let mut counters = self.log.faults().clone();
-            counters.backpressure_dropped = self.bp_dropped;
-            self.log.set_faults(counters);
+        if self.bp_dropped > 0 {
+            self.wire.set_backpressure_dropped(self.bp_dropped);
         }
     }
 
@@ -595,9 +588,9 @@ fn core_loop(
         vanished: vec![false; m],
         writers: (0..m).map(|_| None).collect(),
         cache: vec![HashMap::new(); m],
+        stood_in: vec![None; m],
         stash: VecDeque::new(),
-        plan,
-        log: TrafficLog::new(),
+        wire: Wire::new(plan),
         bp_dropped: 0,
     };
 
@@ -686,7 +679,7 @@ fn core_loop(
         }
 
         if let Some(l) = label.take() {
-            st.run_exchange(&l, std::mem::take(&mut batch));
+            st.run_exchange(&l, std::mem::take(&mut batch), shared);
             st.publish(shared, false);
         }
     }

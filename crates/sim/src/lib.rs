@@ -31,11 +31,12 @@
 //!
 //! The crate root hosts the **capacity harness**: a discrete-event
 //! model of the session service (virtual workers, bounded admission
-//! queue, shed-on-overflow) whose per-session attempt loop mirrors
-//! `shs_net::serve`'s drive semantics — same liveness analysis, same
-//! survivor re-formation, same backoff and classification — with every
-//! handshake attempt executed by [`HandshakeJob::run_attempt_on`] over
-//! a [`SimMedium`].
+//! queue, shed-on-overflow) whose per-session attempt loop decides
+//! through the service's own policy — [`shs_net::serve::attempt_seed`]
+//! for each attempt's seed, [`shs_net::serve::next_step`] for liveness,
+//! re-formation, backoff and classification — with every handshake
+//! attempt executed by [`HandshakeJob::run_attempt_on`] over a
+//! [`SimMedium`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +54,7 @@ use shs_core::service::HandshakeJob;
 use shs_core::{HandshakeOptions, Member, SchemeKind};
 use shs_crypto::drbg::HmacDrbg;
 use shs_net::observe::FaultCounters;
-use shs_net::serve::{backoff_delay, live_slots, AttemptContext, AttemptVerdict, TerminalClass};
+use shs_net::serve::{attempt_seed, live_slots, next_step, AttemptContext, Step, TerminalClass};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -119,8 +120,9 @@ impl SimPool {
 }
 
 /// Knobs of one scenario run: the service model (virtual workers,
-/// bounded queue) plus the per-session budget, mirroring
-/// [`shs_net::serve::ServiceConfig`] in virtual time.
+/// bounded queue) plus the per-session budget that
+/// [`shs_net::serve::next_step`] spends, as in
+/// [`shs_net::serve::ServiceConfig`] but in virtual time.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioConfig {
     /// Sessions submitted.
@@ -141,8 +143,8 @@ pub struct ScenarioConfig {
     pub backoff_base: Duration,
     /// Backoff cap.
     pub backoff_cap: Duration,
-    /// Service seed (drives per-attempt seeds exactly like the real
-    /// service's drive loop).
+    /// Service seed (per-attempt seeds come from it through
+    /// [`attempt_seed`], as in the real service).
     pub seed: u64,
 }
 
@@ -189,22 +191,10 @@ fn class_code(class: TerminalClass) -> u64 {
     }
 }
 
-fn add_faults(into: &mut FaultCounters, from: &FaultCounters) {
-    into.dropped += from.dropped;
-    into.duplicated += from.duplicated;
-    into.corrupted += from.corrupted;
-    into.truncated += from.truncated;
-    into.delayed += from.delayed;
-    into.redelivered += from.redelivered;
-    into.crash_silenced += from.crash_silenced;
-    into.partitioned += from.partitioned;
-    into.backpressure_dropped += from.backpressure_dropped;
-}
-
 /// Runs one session to a terminal class in virtual time: the attempt
-/// loop with deadline checks, liveness analysis, survivor re-formation
-/// and jittered backoff — `shs_net::serve`'s drive semantics, with the
-/// medium's virtual clock supplying all the time that passes.
+/// loop with deadline checks, deciding after each attempt through
+/// [`next_step`] like `shs_net::serve`'s workers, with the medium's
+/// virtual clock supplying all the time that passes.
 fn run_virtual_session(
     pool: &SimPool,
     schedule: Schedule,
@@ -240,17 +230,11 @@ fn run_virtual_session(
             out.class = TerminalClass::DeadlineExceeded;
             break;
         }
-        // Per-attempt seed derivation identical to serve's drive loop.
-        let seed = cfg
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(session)
-            .wrapping_add(u64::from(attempt) << 32);
         let ctx = AttemptContext {
             session_id: session,
             attempt,
             roster: roster.clone(),
-            seed,
+            seed: attempt_seed(cfg.seed, session, attempt),
         };
         let mut net = SimMedium::new(roster.len(), schedule.latency(session));
         if let Some(plan) = schedule.plan(session, attempt, m) {
@@ -261,36 +245,33 @@ fn run_virtual_session(
         out.exchanges += net.exchanges();
         out.deliveries += net.deliveries();
         out.duration = out.duration.saturating_add(nanos(net.elapsed()));
-        add_faults(&mut out.faults, result.traffic.faults());
+        out.faults += result.traffic.faults();
         fp.fold(&[session, u64::from(attempt), net.fingerprint()]);
         let live = live_slots(&roster, &result.traffic);
-        match result.verdict {
-            AttemptVerdict::Success => {
-                out.class = TerminalClass::Accepted;
+        let remaining = Duration::from_nanos(deadline.saturating_sub(out.duration));
+        let backoff = (cfg.backoff_base, cfg.backoff_cap);
+        match next_step(
+            result.verdict,
+            live,
+            &ctx,
+            cfg.max_attempts,
+            false,
+            remaining,
+            backoff,
+        ) {
+            Step::Terminal(class) => {
+                out.class = class;
                 break;
             }
-            AttemptVerdict::Failure => {
-                out.class = TerminalClass::Rejected;
-                break;
-            }
-            AttemptVerdict::Abort => {
-                if live.len() < 2 {
-                    out.class = TerminalClass::TooFewSurvivors;
-                    break;
-                }
-                if attempt + 1 >= cfg.max_attempts {
-                    out.class = TerminalClass::Exhausted;
-                    break;
-                }
-                if live.len() < roster.len() {
-                    out.reformations += 1;
-                    roster = live;
-                }
+            Step::Retry {
+                roster: next,
+                reformed,
+                backoff,
+            } => {
+                out.reformations += u64::from(reformed);
+                roster = next;
                 attempt += 1;
-                let wait = backoff_delay(attempt, cfg.backoff_base, cfg.backoff_cap, seed);
-                out.duration = out
-                    .duration
-                    .saturating_add(nanos(wait).min(deadline.saturating_sub(out.duration)));
+                out.duration = out.duration.saturating_add(nanos(backoff));
             }
         }
     }
@@ -348,7 +329,7 @@ pub fn run_scenario(pool: &SimPool, schedule: Schedule, cfg: &ScenarioConfig) ->
         report.attempts += out.attempts;
         report.exchanges += out.exchanges;
         report.deliveries += out.deliveries;
-        add_faults(&mut report.faults, &out.faults);
+        report.faults += &out.faults;
         fp.fold(&[
             session,
             class_code(out.class),

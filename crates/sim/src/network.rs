@@ -3,13 +3,14 @@
 //! [`PartyLink`]) — the two seams through which the *unmodified*
 //! handshake engine and per-party driver run under virtual time.
 //!
-//! Both media replicate the delivery semantics of their production
-//! counterparts exactly — [`shs_net::sync::BroadcastNet`] for the
-//! lockstep medium, the threaded [`shs_net::hub`] for the per-party
-//! one — including [`FaultPlan`] consultation order, the eavesdropper
-//! log discipline (the log records what live senders put on the wire;
-//! per-receiver faults happen downstream) and per-sender crash clocks.
-//! What they add is *time*: every delivery gets a seeded latency draw,
+//! Both media deliver through [`shs_net::wire::Wire`], the fault rule
+//! their production counterparts run — [`Wire::lockstep`] like
+//! [`shs_net::sync::BroadcastNet`] for the lockstep medium,
+//! [`Wire::broadcast`] like the threaded [`shs_net::hub`] for the
+//! per-party one — so [`FaultPlan`] coin order, the eavesdropper log
+//! discipline and the crash clocks are the production ones by
+//! construction. What they add, in the per-delivery hook, is *time*:
+//! every delivery gets a seeded latency draw,
 //! collect windows and patience are measured on the virtual clock, and
 //! nothing ever calls `thread::sleep`.
 //!
@@ -40,6 +41,7 @@ use crate::core::{nanos, EventQueue, LatencyModel, Nanos, TraceFingerprint};
 use shs_net::fault::FaultPlan;
 use shs_net::observe::TrafficLog;
 use shs_net::sync::Received;
+use shs_net::wire::{Arrival, Origin, Wire};
 use shs_net::{Medium, NetError, PartyLink};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -64,8 +66,7 @@ pub struct SimMedium {
     slots: usize,
     latency: LatencyModel,
     patience: Nanos,
-    plan: Option<FaultPlan>,
-    log: TrafficLog,
+    wire: Wire,
     now: Nanos,
     exchange_seq: u64,
     deliveries: u64,
@@ -79,8 +80,7 @@ impl SimMedium {
             slots,
             latency,
             patience: nanos(DEFAULT_EXCHANGE_PATIENCE),
-            plan: None,
-            log: TrafficLog::new(),
+            wire: Wire::new(None),
             now: 0,
             exchange_seq: 0,
             deliveries: 0,
@@ -90,7 +90,7 @@ impl SimMedium {
 
     /// Installs a fault schedule; delivery is no longer guaranteed.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = Some(plan);
+        self.wire.set_plan(plan);
     }
 
     /// Overrides the per-exchange patience window.
@@ -134,75 +134,39 @@ impl Medium for SimMedium {
         }
         self.exchange_seq += 1;
         let round_key = crate::core::fnv1a(round.as_bytes());
-        // Fault clock: release delayed deliveries, decide dead senders
-        // (identical order to BroadcastNet::exchange, so a given plan
-        // seed fires the same faults on both media).
-        let mut due = Vec::new();
-        let mut silent = vec![false; self.slots];
-        if let Some(plan) = self.plan.as_mut() {
-            due = plan.begin_exchange(round);
-            for (slot, muted) in silent.iter_mut().enumerate() {
-                *muted = plan.suppress_send(slot);
-            }
-        }
-        for (slot, payload) in outgoing.iter().enumerate() {
-            if !silent[slot] {
-                self.log.record(round, slot, payload);
-            }
-        }
-        let mut inboxes = Vec::with_capacity(self.slots);
+        let outgoing: Vec<Option<Vec<u8>>> = outgoing.into_iter().map(Some).collect();
         let mut max_arrival: Nanos = 0;
         let mut complete = true;
-        for to_slot in 0..self.slots {
-            let mut inbox: Vec<Received> = Vec::with_capacity(self.slots);
-            for (from_slot, payload) in outgoing.iter().enumerate() {
-                if silent[from_slot] {
-                    continue;
+        let seq = self.exchange_seq;
+        let on_arrival = |a: &Arrival| {
+            // A lost delivery leaves its receiver's view short: the
+            // engine side would wait out the patience window.
+            let Some(payload) = &a.payload else {
+                complete = false;
+                return;
+            };
+            let (from, to) = (a.from_slot, a.to_slot);
+            let lat = match a.origin {
+                Origin::Fresh(n) => {
+                    let lat = self.latency.draw(round, from, to, seq, n as u64);
+                    let len = payload.len() as u64;
+                    self.fingerprint
+                        .fold(&[round_key, from as u64, to as u64, len, lat]);
+                    lat
                 }
-                let copies = match self.plan.as_mut() {
-                    Some(plan) => plan.deliver(round, from_slot, to_slot, payload.clone()),
-                    None => vec![payload.clone()],
-                };
-                if copies.is_empty() {
-                    // A live sender's message never reached this
-                    // receiver in this exchange: its view is short and
-                    // the engine-side collect would wait out the window.
-                    complete = false;
+                Origin::Released(_) => {
+                    let lat = self.latency.draw(round, from, to, seq, 0x8000);
+                    self.fingerprint
+                        .fold(&[round_key, from as u64, to as u64, lat]);
+                    lat
                 }
-                for (ci, copy) in copies.into_iter().enumerate() {
-                    let lat =
-                        self.latency
-                            .draw(round, from_slot, to_slot, self.exchange_seq, ci as u64);
-                    max_arrival = max_arrival.max(lat);
-                    self.deliveries += 1;
-                    self.fingerprint.fold(&[
-                        round_key,
-                        from_slot as u64,
-                        to_slot as u64,
-                        copy.len() as u64,
-                        lat,
-                    ]);
-                    inbox.push(Received {
-                        from_slot,
-                        payload: copy,
-                    });
-                }
-            }
-            for r in due.iter().filter(|r| r.to_slot == to_slot) {
-                let lat = self
-                    .latency
-                    .draw(round, r.from_slot, to_slot, self.exchange_seq, 0x8000);
-                max_arrival = max_arrival.max(lat);
-                self.deliveries += 1;
-                self.fingerprint
-                    .fold(&[round_key, r.from_slot as u64, to_slot as u64, lat]);
-                inbox.push(Received {
-                    from_slot: r.from_slot,
-                    payload: r.payload.clone(),
-                });
-            }
-            inboxes.push(inbox);
-        }
+            };
+            max_arrival = max_arrival.max(lat);
+            self.deliveries += 1;
+        };
+        let inboxes = self
+            .wire
+            .lockstep(round, &outgoing, |_| true, None, on_arrival);
         // Charge the exchange its virtual cost.
         let cost = if complete {
             max_arrival
@@ -212,20 +176,15 @@ impl Medium for SimMedium {
         self.now = self.now.saturating_add(cost);
         self.fingerprint
             .fold(&[round_key, self.exchange_seq, cost, u64::from(complete)]);
-        if let Some(plan) = self.plan.as_ref() {
-            self.log.set_faults(plan.counters().clone());
-        }
         Ok(inboxes)
     }
 
     fn traffic_snapshot(&self) -> TrafficLog {
-        self.log.clone()
+        self.wire.log().clone()
     }
 
     fn crashed_slots(&self) -> Vec<usize> {
-        self.plan
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.crashed_slots(self.slots))
+        self.wire.crashed_slots(self.slots)
     }
 }
 
@@ -272,13 +231,10 @@ struct SessionCore {
     /// advancing the clock past its deadline would fabricate a timeout
     /// (and a retransmission) out of host scheduling noise.
     fresh_mail: Vec<bool>,
-    plan: FaultPlan,
-    /// Live (non-suppressed) broadcasts per sender: the crash clock,
-    /// ticking per sender broadcast exactly like the hub's.
-    sent_live: Vec<u64>,
+    /// The fault-delivery rule: plan, eavesdropper log, crash clock.
+    wire: Wire,
     /// All broadcast attempts per sender (canonical processing order).
     seq: Vec<u64>,
-    log: TrafficLog,
     latency: LatencyModel,
     fingerprint: TraceFingerprint,
     /// Monotone event id, assigned in canonical processing order; the
@@ -302,57 +258,36 @@ impl SessionCore {
                 .all(|(w, fresh)| w.is_none() || !fresh)
     }
 
-    /// Processes one staged broadcast: crash clock, eavesdropper log,
-    /// delayed-delivery release, per-receiver faulting, and arrival
-    /// scheduling. Mirrors the hub's `relay` closure.
+    /// Processes one staged broadcast through [`Wire::broadcast`] (the
+    /// hub's rule: per-sender crash clock, eavesdropper log, released
+    /// delayed copies, per-receiver faulting), scheduling every copy
+    /// that arrives on the event queue.
     fn process_broadcast(&mut self, s: Staged) {
-        if let Some(after) = self.plan.crash_budget(s.slot) {
-            if self.sent_live[s.slot] >= u64::from(after) {
-                self.plan.note_crash_silenced();
-                return;
-            }
-        }
-        self.sent_live[s.slot] += 1;
-        self.log.record(&s.round, s.slot, &s.payload);
-        let round_key = crate::core::fnv1a(s.round.as_bytes());
-        self.fingerprint
-            .fold(&[round_key, s.slot as u64, s.seq, s.payload.len() as u64]);
-        // Delayed deliveries keyed on this round label come due now.
-        let due = self.plan.begin_exchange(&s.round);
-        for (i, d) in due.into_iter().enumerate() {
-            let lat = self
-                .latency
-                .draw(&s.round, d.from_slot, d.to_slot, s.seq, 0x8000 + i as u64);
-            let at = self.now.saturating_add(lat);
-            self.eid += 1;
-            self.queue.push(
-                at,
-                self.eid,
-                Delivery {
-                    to: d.to_slot,
-                    from: d.from_slot,
-                    round: s.round.clone(),
-                    payload: d.payload,
-                },
-            );
-        }
-        for to in 0..self.m {
-            let copies = self.plan.deliver(&s.round, s.slot, to, s.payload.clone());
-            for (ci, copy) in copies.into_iter().enumerate() {
-                let lat = self.latency.draw(&s.round, s.slot, to, s.seq, ci as u64);
-                let at = self.now.saturating_add(lat);
+        let live = self
+            .wire
+            .broadcast(&s.round, s.slot, &s.payload, self.m, |a| {
+                let Some(payload) = a.payload else { return };
+                let copy = match a.origin {
+                    Origin::Fresh(n) => n as u64,
+                    Origin::Released(n) => 0x8000 + n as u64,
+                };
+                let lat = self
+                    .latency
+                    .draw(&s.round, a.from_slot, a.to_slot, s.seq, copy);
                 self.eid += 1;
-                self.queue.push(
-                    at,
-                    self.eid,
-                    Delivery {
-                        to,
-                        from: s.slot,
-                        round: s.round.clone(),
-                        payload: copy,
-                    },
-                );
-            }
+                let delivery = Delivery {
+                    to: a.to_slot,
+                    from: a.from_slot,
+                    round: s.round.clone(),
+                    payload,
+                };
+                self.queue
+                    .push(self.now.saturating_add(lat), self.eid, delivery);
+            });
+        if live {
+            let round_key = crate::core::fnv1a(s.round.as_bytes());
+            self.fingerprint
+                .fold(&[round_key, s.slot as u64, s.seq, s.payload.len() as u64]);
         }
     }
 
@@ -424,18 +359,6 @@ pub struct SimLink {
     slot: usize,
     slots: usize,
     shared: Arc<Shared>,
-}
-
-impl SimLink {
-    /// This party's slot.
-    pub fn slot(&self) -> usize {
-        self.slot
-    }
-
-    /// Session width.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
 }
 
 impl PartyLink for SimLink {
@@ -541,7 +464,7 @@ pub struct SimSessionReport<T> {
 }
 
 /// Runs `m` party bodies over the simulated medium — the virtual-time
-/// analogue of [`shs_net::hub::run_session_with_faults`]: same
+/// analogue of [`shs_net::hub::run_session_with`]: same
 /// guaranteed-delivery semantics under an empty plan, same fault
 /// vocabulary under a non-empty one, but collect timeouts are virtual
 /// and the whole session performs zero wall-clock sleeps.
@@ -571,10 +494,8 @@ where
             queue: EventQueue::new(),
             mailbox: vec![Vec::new(); m],
             fresh_mail: vec![false; m],
-            plan,
-            sent_live: vec![0; m],
+            wire: Wire::new(Some(plan)),
             seq: vec![0; m],
-            log: TrafficLog::new(),
             latency,
             fingerprint: TraceFingerprint::new(),
             eid: 0,
@@ -598,12 +519,10 @@ where
         // lint:allow(panic-path) reason="propagates a party-thread panic to the harness caller, documented under # Panics"
         .map(|t| t.join().expect("party thread"))
         .collect();
-    let mut core = shared.locked();
-    let counters = core.plan.counters().clone();
-    core.log.set_faults(counters);
+    let core = shared.locked();
     SimSessionReport {
         outputs,
-        traffic: core.log.clone(),
+        traffic: core.wire.log().clone(),
         elapsed: Duration::from_nanos(core.now),
         fingerprint: core.fingerprint.value(),
     }
