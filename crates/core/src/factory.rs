@@ -78,9 +78,8 @@ pub fn dgka_slots(
     Ok(slots)
 }
 
-/// A single [`DgkaSlot`] for slot `i` of an `m`-party session — the
-/// distributed counterpart of [`dgka_slots`], for drivers where each
-/// party constructs only its own state machine.
+/// A single [`DgkaSlot`] for slot `i` of an `m`-party session: what
+/// each handshake machine constructs for itself.
 ///
 /// # Errors
 ///

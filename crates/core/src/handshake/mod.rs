@@ -19,13 +19,15 @@
 //!
 //! # Module structure
 //!
-//! This module is the orchestrator: it owns the public session types and
-//! the phase sequencing. The moving parts live in focused submodules —
-//! `engine` (the budgeted exchange engine and the generic Phase-I
-//! scheduler driving [`crate::substrate::DgkaSlot`] state machines),
-//! `phase1`/`phase2`/`phase3` (one file per protocol phase), and
-//! `decoy` (every decoy/chaff construction in one place, since abort
-//! indistinguishability depends on their shapes).
+//! This module owns the public session types and the lockstep driver.
+//! The protocol itself lives once, in `machine`: a sans-IO
+//! [`machine::PartyMachine`] per slot runs the phase sequence and the
+//! attempt rule, and every driver only moves its payloads —
+//! [`run_handshake_with_net`] steps all slots over one
+//! [`shs_net::Medium`], [`party::run_party`] steps one slot over a
+//! [`shs_net::PartyLink`], and `shs-sim` steps all slots under virtual
+//! time. `decoy` holds every decoy/chaff construction in one place,
+//! since abort indistinguishability depends on their shapes.
 //!
 //! # Hardened runtime
 //!
@@ -42,18 +44,16 @@
 //! run-of-the-mill membership mismatch.
 
 pub(crate) mod decoy;
-pub(crate) mod engine;
+pub mod machine;
 pub mod party;
-mod phase1;
-mod phase2;
-mod phase3;
 
-use crate::config::{HandshakeOptions, SchemeKind, TracePolicy};
+use crate::config::{HandshakeOptions, SchemeKind};
 use crate::member::Member;
 use crate::transcript::HandshakeTranscript;
 use crate::CoreError;
+use machine::{PartyMachine, Poll};
+use party::PartyOutcome;
 use rand::RngCore;
-use shs_bigint::Ubig;
 use shs_crypto::Key;
 use shs_groups::schnorr::{SchnorrGroup, SchnorrPreset};
 use shs_gsig::params::{GsigParams, GsigPreset};
@@ -184,7 +184,7 @@ pub struct SessionResult {
     /// Per-slot outcomes.
     pub outcomes: Vec<Outcome>,
     /// The `{(θ_i, δ_i)}` transcript for `GCD.TraceUser` (empty under
-    /// [`TracePolicy::PreliminaryOnly`]).
+    /// [`crate::config::TracePolicy::PreliminaryOnly`]).
     pub transcript: HandshakeTranscript,
     /// The eavesdropper's traffic log.
     pub traffic: TrafficLog,
@@ -192,19 +192,6 @@ pub struct SessionResult {
     pub costs: Vec<SlotCosts>,
     /// Exchange/retry accounting (the cost of surviving a lossy medium).
     pub stats: SessionStats,
-}
-
-/// Per-slot session state threaded through Phases II and III.
-pub(crate) struct SlotState<'a> {
-    pub(crate) actor: &'a Actor<'a>,
-    pub(crate) sid: Vec<u8>,
-    pub(crate) k_prime: Key,
-    pub(crate) contributions: Vec<Vec<u8>>,
-    /// Phase-II payloads as received, per sender.
-    pub(crate) seen_tags: Vec<Vec<u8>>,
-    pub(crate) delta_set: Vec<usize>,
-    /// Own Phase-III signature's T6 (scheme 2).
-    pub(crate) own_t6: Option<Ubig>,
 }
 
 /// Effective parameter view for one slot (outsiders mimic the session's
@@ -234,6 +221,15 @@ pub fn run_handshake(
 /// [`run_handshake`] over a caller-provided medium (so tests can install
 /// man-in-the-middle interceptors or inspect traffic mid-run).
 ///
+/// This is the lockstep driver: it steps one [`machine::PartyMachine`]
+/// per slot, every slot through each stage before any slot runs the
+/// next, so the shared `rng` is drawn stage by stage across slots. Each
+/// broadcast round is one [`Medium::exchange`] of every slot's payload,
+/// retransmitted by all slots together while any slot's view is
+/// incomplete (which keeps the per-slot wire shape uniform). Phase-III
+/// verification fans out onto the worker pool; a slot the medium reports
+/// crash-stopped ends [`AbortReason::Crashed`].
+///
 /// # Errors
 ///
 /// See [`run_handshake`].
@@ -249,61 +245,55 @@ pub fn run_handshake_with_net(
     if m < 2 || net.slots() != m {
         return Err(CoreError::BadSession);
     }
-    let group = session_group(actors);
-    let mimic = mimic_params(actors);
-    let mut costs = vec![SlotCosts::default(); m];
-    let mut ex = engine::Exchanger::new(net, opts.budget);
-
-    // ---- Phase I: distributed group key agreement -----------------------
-    let phase1 = phase1::run(opts.dgka, group, m, &mut ex, &mut costs, rng)?;
-    let mut aborts: Vec<Option<AbortReason>> = phase1.iter().map(|(_, a)| *a).collect();
-    let mut slots = phase1::bind_group_keys(actors, phase1, rng);
-
-    // ---- Phase II: MAC tags ---------------------------------------------
-    phase2::run(&mut slots, &mut ex, &mut costs)?;
-
-    // ---- Phase III (unless preliminary-only) ----------------------------
-    let mut transcript = HandshakeTranscript::default();
-    let mut verified: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut duplicates: Vec<Vec<usize>> = vec![Vec::new(); m];
-    if opts.policy == TracePolicy::Full {
-        (transcript, verified, duplicates) = phase3::run(
-            &mut slots, &aborts, group, &mimic, opts, &mut ex, &mut costs, rng,
-        )?;
+    let mut machines = Vec::with_capacity(m);
+    for (i, actor) in actors.iter().enumerate() {
+        machines.push(PartyMachine::in_session(actors, actor, i, m, opts, rng)?);
     }
-
-    // ---- Outcomes -------------------------------------------------------
-    // A crash-stopped slot never finished the session regardless of what
-    // the local simulation computed for it: mark it aborted. The medium
-    // reports both injected crash-stops and real dead connections.
-    for crashed in ex.net.crashed_slots() {
-        if crashed < m {
-            aborts[crashed] = Some(AbortReason::Crashed);
+    let mut transcript = HandshakeTranscript::default();
+    loop {
+        if machines.iter().all(PartyMachine::verify_pending) {
+            // Each member slot verifies its m−1 peer frames independently
+            // of every other slot; results come back in slot order, so the
+            // outcome is byte-identical to a sequential run.
+            transcript.sid = machines[0].sid().to_vec();
+            for machine in &machines {
+                transcript.entries.push(machine.transcript_entry()?);
+            }
+            let workers = crate::pool::verify_workers(m, opts.parallel_verify);
+            let verified = crate::pool::run_indexed(m, workers, |i| machines[i].verify());
+            for (machine, v) in machines.iter_mut().zip(verified) {
+                machine.record_verify(v);
+            }
+        }
+        // Every slot passes through the same stages, so the polls agree.
+        let mut poll = Poll::Done;
+        for machine in &mut machines {
+            poll = machine.step(rng)?;
+        }
+        match poll {
+            Poll::Continue => {}
+            Poll::Exchange => exchange(&mut machines, net)?,
+            Poll::Done => break,
         }
     }
-    let traffic = ex.net.traffic_snapshot();
-    let transport = ex.net.transport_counters();
+    let crashed = net.crashed_slots();
+    let parties: Vec<PartyOutcome> = machines
+        .into_iter()
+        .enumerate()
+        .map(|(i, machine)| machine.into_outcome(crashed.contains(&i)))
+        .collect();
+    let traffic = net.traffic_snapshot();
+    let transport = net.transport_counters();
+    // Every slot settled on the same global completion test, so slot 0's
+    // exchange accounting is the session's.
     let stats = SessionStats {
-        exchanges: ex.exchanges,
-        retries: ex.retries,
-        budget_exhausted: ex.exhausted,
         backpressure_dropped: traffic.faults().backpressure_dropped,
         reconnects: transport.reconnects,
         deadline_timeouts: transport.deadline_timeouts,
+        ..parties[0].stats
     };
-    let mut outcomes = Vec::with_capacity(m);
-    for (i, slot) in slots.iter().enumerate() {
-        outcomes.push(resolve_outcome(
-            i,
-            slot,
-            aborts[i],
-            &verified[i],
-            &duplicates[i],
-            opts,
-            m,
-        ));
-    }
-
+    let costs = parties.iter().map(|p| p.costs).collect();
+    let outcomes = parties.into_iter().map(|p| p.outcome).collect();
     Ok(SessionResult {
         outcomes,
         transcript,
@@ -313,47 +303,28 @@ pub fn run_handshake_with_net(
     })
 }
 
-/// Folds one slot's phase results into its [`Outcome`] — the acceptance
-/// logic of `Handshake(∆)` plus the partial-success extension, shared by
-/// the lockstep driver above and the per-party driver
-/// ([`crate::handshake::party`]), which must agree byte-for-byte on what
-/// "accepted" means.
-pub(crate) fn resolve_outcome(
-    i: usize,
-    slot: &SlotState<'_>,
-    abort: Option<AbortReason>,
-    verified_base: &[usize],
-    duplicates_i: &[usize],
-    opts: &HandshakeOptions,
-    m: usize,
-) -> Outcome {
-    let ok = abort.is_none();
-    let is_member = ok && matches!(slot.actor, Actor::Member(_));
-    let delta = slot.delta_set.clone();
-    let mut verified_i = verified_base.to_vec();
-    if is_member {
-        verified_i.push(i); // own signature trivially verified
-    }
-    verified_i.sort_unstable();
-    let all_delta_verified =
-        opts.policy == TracePolicy::PreliminaryOnly || delta.iter().all(|j| verified_i.contains(j));
-    let clean = duplicates_i.is_empty();
-    let accepted = is_member && delta.len() == m && all_delta_verified && clean;
-    let partial_ok =
-        is_member && opts.partial_success && delta.len() >= 2 && all_delta_verified && clean;
-    let session_key = if accepted || partial_ok {
-        Some(phase3::derive_session_key(&slot.k_prime, &slot.sid, &delta))
-    } else {
-        None
-    };
-    Outcome {
-        slot: i,
-        accepted,
-        same_group_slots: delta,
-        verified_slots: verified_i,
-        duplicate_slots: duplicates_i.to_vec(),
-        session_key,
-        abort,
+/// One broadcast round of every slot: exchanges the slots' payloads,
+/// retransmitting all of them together until every view is complete or
+/// the attempt rule gives up. Every machine settles on the same global
+/// completion test, so they all keep the same exchange count.
+fn exchange(machines: &mut [PartyMachine<'_>], net: &mut dyn Medium) -> Result<(), CoreError> {
+    loop {
+        let label = machines[0].label().to_string();
+        let outgoing = machines.iter().map(|mc| mc.payload().to_vec()).collect();
+        let inboxes = net.exchange(&label, outgoing)?;
+        for (machine, inbox) in machines.iter_mut().zip(&inboxes) {
+            for rcv in inbox {
+                machine.receive(rcv.from_slot, &rcv.payload);
+            }
+        }
+        let complete = machines.iter().all(PartyMachine::view_complete);
+        let mut retry = false;
+        for machine in machines.iter_mut() {
+            retry = machine.settle(complete);
+        }
+        if !retry {
+            return Ok(());
+        }
     }
 }
 

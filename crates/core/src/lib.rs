@@ -54,9 +54,11 @@
 //!   their `ALL` arrays, [`GroupConfig`] and [`HandshakeOptions`].
 //! * [`authority`] / [`member`] / [`bulletin`] — the group lifecycle:
 //!   `CreateGroup`, `AdmitMember`, `RemoveUser`, `Update`, `TraceUser`.
-//! * [`handshake`] — the phase-structured session engine: one submodule
-//!   per protocol phase (`phase1`–`phase3`), the generic
-//!   retry/metering scheduler (`engine`), and every decoy construction
+//! * [`handshake`] — the session: one sans-IO per-slot state machine
+//!   ([`handshake::machine::PartyMachine`]) that owns the three phases and
+//!   the attempt rule, the drivers that step it (the lockstep
+//!   [`handshake::run_handshake_with_net`] and the per-party
+//!   [`handshake::party::run_party`]), and every decoy construction
 //!   (`decoy`).
 //! * [`codec`] / [`wire`] — fixed-width serialization; [`transcript`] —
 //!   the public handshake transcript and tracing outcomes; [`roles`] /

@@ -1,26 +1,26 @@
 //! DGKA substrate: phase-structured slot state machines for Phase I.
 //!
 //! A [`DgkaSlot`] is one party of the distributed group key agreement,
-//! decomposed into the uniform per-round cycle the
-//! `crate::handshake::engine` scheduler drives:
+//! decomposed into the uniform per-round cycle that
+//! [`crate::handshake::machine::PartyMachine`] drives:
 //!
 //! 1. `emit(t)` — produce this slot's round-`t` wire payload (chaff of
 //!    the protocol-determined length when the slot has aborted or is
 //!    inactive this round, so the wire shape never reveals either),
-//! 2. `validate(t, from, payload)` — receiver-side acceptance test the
-//!    exchange engine uses to decide whether a delivery counts (and so
-//!    whether to spend retransmission budget),
+//! 2. `validate(t, from, payload)` — receiver-side acceptance test that
+//!    decides whether a delivery counts (and so whether to spend
+//!    retransmission budget),
 //! 3. `absorb(t, view, …)` — consume the round's view,
 //! 4. `finish()` — output [`Phase1Slot`] state, real or decoy.
 //!
-//! The scheduler meters `emit`/`absorb`/`finish` into the slot's
+//! The machine meters `emit`/`absorb`/`finish` into the slot's
 //! [`crate::handshake::SlotCosts`]; work done inside `validate` is
 //! *not* metered (it models the receiver's cheap wire filtering —
 //! decode checks for BD/GDH; for the authenticated variant it also
 //! re-checks signatures, whose metered counterpart runs in `absorb`).
 //!
 //! Implementations are constructed exclusively by
-//! [`crate::factory::dgka_slots`]. Wire formats and round labels are
+//! [`crate::factory::dgka_slot`]. Wire formats and round labels are
 //! part of each implementation's contract (fault-injection plans match
 //! on them) and must stay stable.
 
@@ -50,12 +50,15 @@ pub struct Phase1Slot {
 /// state machine (`DGKA.{Contribute, Derive}` of the paper's §4
 /// interface, unrolled into broadcast rounds).
 ///
-/// The driving scheduler guarantees: `emit`, then `validate` (as other
+/// The driving machine guarantees: `emit`, then `validate` (as other
 /// slots' payloads arrive), then `absorb`, for `t = 0 .. rounds()`, then
 /// one `finish`. A slot must stay silent about its own failures —
 /// aborting means emitting chaff of the correct length from then on and
 /// reporting the abort only through `finish`.
-pub trait DgkaSlot: Send {
+///
+/// `Sync` because a slot lives inside its handshake machine, which the
+/// lockstep driver shares with worker threads for Phase-III verification.
+pub trait DgkaSlot: Send + Sync {
     /// Number of broadcast rounds.
     fn rounds(&self) -> usize;
 
@@ -72,7 +75,7 @@ pub trait DgkaSlot: Send {
     fn validate(&self, t: usize, from: usize, payload: &[u8]) -> bool;
 
     /// Consumes the round-`t` view (`view[j]` = best valid copy of slot
-    /// `j`'s payload). `incomplete` carries the exchange engine's abort
+    /// `j`'s payload). `incomplete` carries the attempt rule's abort
     /// reason when some sender's payload never validly arrived.
     fn absorb(
         &mut self,

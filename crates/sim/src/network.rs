@@ -1,49 +1,36 @@
-//! The simulated media: [`SimMedium`] (lockstep, implements
-//! [`Medium`]) and [`run_session`]'s `SimLink` (per-party, implements
-//! [`PartyLink`]) — the two seams through which the *unmodified*
-//! handshake engine and per-party driver run under virtual time.
+//! The simulated media: [`SimMedium`] (lockstep, implements [`Medium`])
+//! and [`run_session`] (per-party) — the two seams through which the
+//! *unmodified* handshake machine runs under virtual time.
 //!
-//! Both media deliver through [`shs_net::wire::Wire`], the fault rule
-//! their production counterparts run — [`Wire::lockstep`] like
+//! Both deliver through [`shs_net::wire::Wire`], the fault rule their
+//! production counterparts run — [`Wire::lockstep`] like
 //! [`shs_net::sync::BroadcastNet`] for the lockstep medium,
 //! [`Wire::broadcast`] like the threaded [`shs_net::hub`] for the
-//! per-party one — so [`FaultPlan`] coin order, the eavesdropper log
+//! per-party session — so [`FaultPlan`] coin order, the eavesdropper log
 //! discipline and the crash clocks are the production ones by
 //! construction. What they add, in the per-delivery hook, is *time*:
-//! every delivery gets a seeded latency draw,
-//! collect windows and patience are measured on the virtual clock, and
-//! nothing ever calls `thread::sleep`.
+//! every delivery gets a seeded latency draw, collect windows and
+//! patience are measured on the virtual clock, and nothing ever calls
+//! `thread::sleep`.
 //!
 //! # Determinism
 //!
-//! The per-party session runs real threads (party bodies block in
-//! `collect` exactly like hub bodies do), so raw thread interleaving
-//! must not be allowed to leak into the trace. Three rules prevent it:
-//!
-//! 1. **Staged broadcasts.** A `broadcast` only *stages* the message.
-//!    Staged messages are processed (logged, faulted, scheduled) in
-//!    canonical `(sender-sequence, slot)` order at the next advance
-//!    point — when every unfinished party is blocked — so the
-//!    [`FaultPlan`]'s seeded coins are always consumed in the same
-//!    order no matter which thread ran first.
-//! 2. **Stateless latency draws.** Transit times are pure functions of
-//!    `(seed, round, from, to, sequence, copy)`, never of draw order.
-//! 3. **Identity-keyed event queue.** Simultaneous events pop in
-//!    `(time, sender, receiver, …)` order, not insertion order.
-//! 4. **Acknowledged deliveries.** The clock never advances while a
-//!    blocked party has mail it has not drained: a just-delivered
-//!    final copy may complete that party's view, and jumping to a
-//!    deadline before its thread gets scheduled would fabricate a
-//!    timeout (and a spurious retransmission) out of host scheduling
-//!    noise.
+//! The per-party session needs no threads: [`PartyMachine`] is sans-IO,
+//! so one event loop steps every slot's machine and owns the [`Wire`].
+//! Parties act in slot order at each instant, transit times are pure
+//! functions of `(seed, round, from, to, sequence, copy)`, and
+//! simultaneous events pop in `(time, event id)` order, so the same seed
+//! gives the same trace on any host. The simulator holds no locks.
 
 use crate::core::{nanos, EventQueue, LatencyModel, Nanos, TraceFingerprint};
+use rand::RngCore;
+use shs_core::handshake::machine::{PartyMachine, Poll};
+use shs_core::{Actor, CoreError, HandshakeOptions, PartyOutcome};
 use shs_net::fault::FaultPlan;
 use shs_net::observe::TrafficLog;
 use shs_net::sync::Received;
 use shs_net::wire::{Arrival, Origin, Wire};
-use shs_net::{Medium, NetError, PartyLink};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use shs_net::{Medium, NetError};
 use std::time::Duration;
 
 /// How long a lockstep exchange waits (in virtual time) for deliveries
@@ -189,20 +176,11 @@ impl Medium for SimMedium {
 }
 
 // ---------------------------------------------------------------------------
-// SimSession: per-party driver under virtual time
+// The per-party session under virtual time
 // ---------------------------------------------------------------------------
 
-/// One staged (not yet processed) broadcast.
-struct Staged {
-    /// The sender's broadcast sequence number (its own program order).
-    seq: u64,
-    slot: usize,
-    round: String,
-    payload: Vec<u8>,
-}
-
-/// A delivery in flight: scheduled on the event queue, lands in the
-/// receiver's mailbox at its arrival time.
+/// A delivery in flight: scheduled on the event queue, lands with the
+/// receiver at its arrival time.
 struct Delivery {
     to: usize,
     from: usize,
@@ -210,252 +188,84 @@ struct Delivery {
     payload: Vec<u8>,
 }
 
-struct SessionCore {
+/// One party of a per-party session: its machine, its own randomness,
+/// and its side of the network.
+struct Seat<'a, 'r> {
+    machine: PartyMachine<'a>,
+    rng: &'r mut dyn RngCore,
+    /// Collect deadline of the open round's current attempt; `None`
+    /// while the party is running local stages (or done).
+    deadline: Option<Nanos>,
+    /// Broadcasts so far: the sequence key of the latency draws.
+    sent: u64,
+    /// Deliveries of rounds this party has not opened yet. Under
+    /// virtual latency a fast party's next-round broadcast can overtake
+    /// a slow delivery; dropping it would turn a guaranteed-delivery run
+    /// lossy.
+    mailbox: Vec<(String, usize, Vec<u8>)>,
+    /// The wire crash-silenced one of this party's broadcasts.
+    silenced: bool,
+    done: bool,
+}
+
+/// The shared medium of a per-party session: the fault-delivery rule,
+/// the virtual clock and the in-flight deliveries.
+struct Net {
     m: usize,
     now: Nanos,
-    /// Unfinished parties (a finished party's link was dropped).
-    active: usize,
-    /// Per-slot collect deadline while the party is blocked in collect.
-    waiting: Vec<Option<Nanos>>,
-    staged: Vec<Staged>,
-    queue: EventQueue<Delivery>,
-    /// Per-party received-but-unconsumed messages. Out-of-round
-    /// arrivals are *buffered* (not discarded like the wall-clock hub):
-    /// under virtual latency a fast party's next-round broadcast can
-    /// overtake a slow delivery, and dropping it would turn a
-    /// guaranteed-delivery run lossy.
-    mailbox: Vec<Vec<(String, usize, Vec<u8>)>>,
-    /// Slots with mail delivered since their last mailbox drain. A
-    /// blocked party with fresh mail may already hold a completable
-    /// view its thread simply has not been scheduled to consume, so
-    /// advancing the clock past its deadline would fabricate a timeout
-    /// (and a retransmission) out of host scheduling noise.
-    fresh_mail: Vec<bool>,
-    /// The fault-delivery rule: plan, eavesdropper log, crash clock.
+    timeout: Nanos,
     wire: Wire,
-    /// All broadcast attempts per sender (canonical processing order).
-    seq: Vec<u64>,
+    queue: EventQueue<Delivery>,
     latency: LatencyModel,
     fingerprint: TraceFingerprint,
-    /// Monotone event id, assigned in canonical processing order; the
-    /// queue tiebreak for events sharing a timestamp.
+    /// Monotone event id, the queue tiebreak for simultaneous events.
     eid: u64,
 }
 
-impl SessionCore {
-    /// Are all unfinished parties blocked in collect, with every
-    /// delivery they have received already drained? Only then may the
-    /// simulation advance (conservative synchronization: no party
-    /// could still produce an earlier event, and none is sitting on
-    /// unread mail that would change what it does next).
-    fn ready_to_advance(&self) -> bool {
-        self.active > 0
-            && self.waiting.iter().filter(|w| w.is_some()).count() == self.active
-            && self
-                .waiting
-                .iter()
-                .zip(&self.fresh_mail)
-                .all(|(w, fresh)| w.is_none() || !fresh)
-    }
-
-    /// Processes one staged broadcast through [`Wire::broadcast`] (the
-    /// hub's rule: per-sender crash clock, eavesdropper log, released
-    /// delayed copies, per-receiver faulting), scheduling every copy
-    /// that arrives on the event queue.
-    fn process_broadcast(&mut self, s: Staged) {
-        let live = self
-            .wire
-            .broadcast(&s.round, s.slot, &s.payload, self.m, |a| {
-                let Some(payload) = a.payload else { return };
-                let copy = match a.origin {
-                    Origin::Fresh(n) => n as u64,
-                    Origin::Released(n) => 0x8000 + n as u64,
-                };
-                let lat = self
-                    .latency
-                    .draw(&s.round, a.from_slot, a.to_slot, s.seq, copy);
-                self.eid += 1;
-                let delivery = Delivery {
-                    to: a.to_slot,
-                    from: a.from_slot,
-                    round: s.round.clone(),
-                    payload,
-                };
-                self.queue
-                    .push(self.now.saturating_add(lat), self.eid, delivery);
-            });
-        if live {
-            let round_key = crate::core::fnv1a(s.round.as_bytes());
-            self.fingerprint
-                .fold(&[round_key, s.slot as u64, s.seq, s.payload.len() as u64]);
-        }
-    }
-
-    /// One advance step, called with every unfinished party blocked:
-    /// first flush staged broadcasts (no time passes), otherwise move
-    /// time forward to the next delivery or the earliest deadline.
-    ///
-    /// Returns whether anything changed. A `false` means virtual time
-    /// already sits at some party's expired deadline and only *that*
-    /// party (currently blocked) can make progress — the caller must
-    /// release the lock and wait, or the session livelocks.
-    fn advance(&mut self) -> bool {
-        if !self.staged.is_empty() {
-            let mut staged = std::mem::take(&mut self.staged);
-            staged.sort_by_key(|s| (s.seq, s.slot));
-            for s in staged {
-                self.process_broadcast(s);
-            }
-            return true;
-        }
-        let was = self.now;
-        let mut popped = false;
-        match (self.queue.peek_time(), self.min_deadline()) {
-            (Some(t), Some(d)) if t <= d => popped = self.pop_delivery(),
-            (Some(_), Some(d)) => self.now = self.now.max(d),
-            (Some(_t), None) => popped = self.pop_delivery(),
-            (None, Some(d)) => self.now = self.now.max(d),
-            (None, None) => {}
-        }
-        popped || self.now > was
-    }
-
-    fn min_deadline(&self) -> Option<Nanos> {
-        self.waiting.iter().flatten().copied().min()
-    }
-
-    fn pop_delivery(&mut self) -> bool {
-        if let Some((t, d)) = self.queue.pop() {
-            self.now = self.now.max(t);
-            self.fingerprint
-                .fold(&[t, d.from as u64, d.to as u64, d.payload.len() as u64]);
-            self.mailbox[d.to].push((d.round, d.from, d.payload));
-            self.fresh_mail[d.to] = true;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-struct Shared {
-    core: Mutex<SessionCore>,
-    cv: Condvar,
-}
-
-impl Shared {
-    fn locked(&self) -> MutexGuard<'_, SessionCore> {
-        self.core
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// One party's endpoint on the simulated session: implements
-/// [`PartyLink`] with the collect timeout measured in **virtual** time.
-/// Dropping the link marks the party finished (the simulation stops
-/// waiting for it before advancing).
-pub struct SimLink {
-    slot: usize,
-    slots: usize,
-    shared: Arc<Shared>,
-}
-
-impl PartyLink for SimLink {
-    fn slot(&self) -> usize {
-        self.slot
-    }
-
-    fn slots(&self) -> usize {
-        self.slots
-    }
-
-    fn broadcast(&mut self, round: &str, payload: Vec<u8>) -> Result<(), NetError> {
-        let mut core = self.shared.locked();
-        let seq = core.seq[self.slot];
-        core.seq[self.slot] += 1;
-        core.staged.push(Staged {
-            seq,
-            slot: self.slot,
-            round: round.to_string(),
-            payload,
-        });
-        Ok(())
-    }
-
-    fn collect(
-        &mut self,
-        round: &str,
-        timeout: Duration,
-        valid: &mut dyn FnMut(usize, &[u8]) -> bool,
-    ) -> Result<Vec<Option<Vec<u8>>>, NetError> {
-        let me = self.slot;
-        let mut core = self.shared.locked();
-        let deadline = core.now.saturating_add(nanos(timeout));
-        core.waiting[me] = Some(deadline);
-        let mut view: Vec<Option<Vec<u8>>> = vec![None; self.slots];
-        loop {
-            // Consume matching arrivals (first valid copy per sender
-            // wins); keep everything else buffered for later rounds.
-            let mail = std::mem::take(&mut core.mailbox[me]);
-            let mut keep = Vec::with_capacity(mail.len());
-            for (r, from, payload) in mail {
-                if r == round {
-                    if from < self.slots && view[from].is_none() && valid(from, &payload) {
-                        view[from] = Some(payload);
-                    }
-                    // Matching but invalid/duplicate copies are spent.
-                } else {
-                    keep.push((r, from, payload));
-                }
-            }
-            core.mailbox[me] = keep;
-            core.fresh_mail[me] = false;
-            if view.iter().all(Option::is_some) || core.now >= deadline {
-                break;
-            }
-            let progressed = if core.ready_to_advance() {
-                let progressed = core.advance();
-                self.shared.cv.notify_all();
-                progressed
-            } else {
-                false
+impl Net {
+    /// Broadcasts the party's open-round payload through
+    /// [`Wire::broadcast`] (the hub's rule: per-sender crash clock,
+    /// eavesdropper log, released delayed copies, per-receiver faulting),
+    /// scheduling every copy that arrives, and starts its collect window.
+    fn send(&mut self, slot: usize, seat: &mut Seat<'_, '_>) {
+        let (seq, round) = (seat.sent, seat.machine.label().to_string());
+        seat.sent += 1;
+        let payload = seat.machine.payload();
+        let (queue, latency, eid, now) = (&mut self.queue, &self.latency, &mut self.eid, self.now);
+        let live = self.wire.broadcast(&round, slot, payload, self.m, |a| {
+            let Some(payload) = a.payload else { return };
+            let copy = match a.origin {
+                Origin::Fresh(n) => n as u64,
+                Origin::Released(n) => 0x8000 + n as u64,
             };
-            if !progressed {
-                // Either some party is still running (it will advance or
-                // notify), or virtual time sits at another party's
-                // expired deadline and only that party can move — hand
-                // the lock over instead of spinning on it.
-                core = self
-                    .shared
-                    .cv
-                    .wait(core)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
+            let lat = latency.draw(&round, a.from_slot, a.to_slot, seq, copy);
+            *eid += 1;
+            let delivery = Delivery {
+                to: a.to_slot,
+                from: a.from_slot,
+                round: round.clone(),
+                payload,
+            };
+            queue.push(now.saturating_add(lat), *eid, delivery);
+        });
+        if live {
+            let round_key = crate::core::fnv1a(round.as_bytes());
+            let len = payload.len() as u64;
+            self.fingerprint.fold(&[round_key, slot as u64, seq, len]);
+        } else {
+            seat.silenced = true;
         }
-        core.waiting[me] = None;
-        Ok(view)
-    }
-}
-
-impl Drop for SimLink {
-    fn drop(&mut self) {
-        let mut core = self.shared.locked();
-        if core.active > 0 {
-            core.active -= 1;
-        }
-        core.waiting[self.slot] = None;
-        // The remaining parties may now satisfy the advance condition.
-        self.shared.cv.notify_all();
+        seat.deadline = Some(self.now.saturating_add(self.timeout));
     }
 }
 
 /// Everything a simulated per-party session produced.
 #[derive(Debug)]
-pub struct SimSessionReport<T> {
-    /// Per-slot body outputs.
-    pub outputs: Vec<T>,
-    /// The eavesdropper's log (canonical order; carries fault tallies).
+pub struct SimSessionReport {
+    /// Per-slot results, as [`shs_core::handshake::party::run_party`]
+    /// reports them (transport counters are zero).
+    pub outputs: Vec<PartyOutcome>,
+    /// The eavesdropper's log (carries the fault tallies).
     pub traffic: TrafficLog,
     /// Virtual time the session spanned.
     pub elapsed: Duration,
@@ -463,102 +273,176 @@ pub struct SimSessionReport<T> {
     pub fingerprint: u64,
 }
 
-/// Runs `m` party bodies over the simulated medium — the virtual-time
-/// analogue of [`shs_net::hub::run_session_with`]: same
-/// guaranteed-delivery semantics under an empty plan, same fault
-/// vocabulary under a non-empty one, but collect timeouts are virtual
-/// and the whole session performs zero wall-clock sleeps.
+/// Runs a handshake among `actors`, each slot a per-party
+/// [`PartyMachine`] drawing from its own entry of `rngs`, over the
+/// simulated medium — the virtual-time analogue of
+/// [`shs_net::hub::run_session_with`] driving
+/// [`shs_core::handshake::party::run_party`]: same guaranteed-delivery
+/// semantics under an empty plan, same fault vocabulary under a
+/// non-empty one, but each round's `collect_timeout` is virtual and the
+/// whole session runs on the calling thread with zero wall-clock sleeps.
 ///
-/// # Panics
+/// One event loop owns every machine and the [`Wire`]. Parties run their
+/// local stages in slot order at each instant; then every party whose
+/// view completed or whose collect window closed settles; only when none
+/// can move does virtual time advance, to the next delivery or the
+/// earliest deadline. A slot the wire crash-silenced ends
+/// [`shs_core::AbortReason::Crashed`], as in the lockstep driver.
 ///
-/// Panics if a party thread panics (as the hub does).
-pub fn run_session<T, F>(
-    m: usize,
+/// # Errors
+///
+/// [`CoreError::BadSession`] unless `rngs` has one entry per actor (and
+/// the session has at least two slots).
+pub fn run_session<'a, R: RngCore>(
+    actors: &'a [Actor<'a>],
+    opts: &HandshakeOptions,
     plan: FaultPlan,
     latency: LatencyModel,
-    bodies: Vec<F>,
-) -> SimSessionReport<T>
-where
-    T: Send + 'static,
-    F: FnOnce(SimLink) -> T + Send + 'static,
-{
-    // lint:allow(panic-path) reason="public API precondition documented under # Panics; harness configuration, not wire data"
-    assert_eq!(bodies.len(), m, "one body per slot");
-    let shared = Arc::new(Shared {
-        core: Mutex::new(SessionCore {
-            m,
-            now: 0,
-            active: m,
-            waiting: vec![None; m],
-            staged: Vec::new(),
-            queue: EventQueue::new(),
-            mailbox: vec![Vec::new(); m],
-            fresh_mail: vec![false; m],
-            wire: Wire::new(Some(plan)),
-            seq: vec![0; m],
-            latency,
-            fingerprint: TraceFingerprint::new(),
-            eid: 0,
-        }),
-        cv: Condvar::new(),
-    });
-    let threads: Vec<std::thread::JoinHandle<T>> = bodies
-        .into_iter()
-        .enumerate()
-        .map(|(slot, body)| {
-            let link = SimLink {
-                slot,
-                slots: m,
-                shared: Arc::clone(&shared),
-            };
-            std::thread::spawn(move || body(link))
-        })
-        .collect();
-    let outputs: Vec<T> = threads
-        .into_iter()
-        // lint:allow(panic-path) reason="propagates a party-thread panic to the harness caller, documented under # Panics"
-        .map(|t| t.join().expect("party thread"))
-        .collect();
-    let core = shared.locked();
-    SimSessionReport {
-        outputs,
-        traffic: core.wire.log().clone(),
-        elapsed: Duration::from_nanos(core.now),
-        fingerprint: core.fingerprint.value(),
+    collect_timeout: Duration,
+    rngs: &mut [R],
+) -> Result<SimSessionReport, CoreError> {
+    let m = actors.len();
+    if rngs.len() != m {
+        return Err(CoreError::BadSession);
     }
+    let mut seats = Vec::with_capacity(m);
+    for (slot, (actor, rng)) in actors.iter().zip(rngs.iter_mut()).enumerate() {
+        let rng: &mut dyn RngCore = rng;
+        seats.push(Seat {
+            machine: PartyMachine::new(actor, slot, m, opts, rng)?,
+            rng,
+            deadline: None,
+            sent: 0,
+            mailbox: Vec::new(),
+            silenced: false,
+            done: false,
+        });
+    }
+    let mut net = Net {
+        m,
+        now: 0,
+        timeout: nanos(collect_timeout),
+        wire: Wire::new(Some(plan)),
+        queue: EventQueue::new(),
+        latency,
+        fingerprint: TraceFingerprint::new(),
+        eid: 0,
+    };
+    loop {
+        let mut moved = false;
+        for (slot, seat) in seats.iter_mut().enumerate() {
+            if seat.done {
+                continue;
+            }
+            match seat.deadline {
+                None => {
+                    moved = true;
+                    match seat.machine.step(seat.rng)? {
+                        Poll::Continue => {}
+                        Poll::Done => seat.done = true,
+                        Poll::Exchange => {
+                            net.send(slot, seat);
+                            let label = seat.machine.label().to_string();
+                            for (round, from, payload) in std::mem::take(&mut seat.mailbox) {
+                                if round == label {
+                                    seat.machine.receive(from, &payload);
+                                } else {
+                                    seat.mailbox.push((round, from, payload));
+                                }
+                            }
+                        }
+                    }
+                }
+                Some(deadline) => {
+                    let complete = seat.machine.view_complete();
+                    if complete || net.now >= deadline {
+                        moved = true;
+                        seat.deadline = None;
+                        if seat.machine.settle(complete) {
+                            net.send(slot, seat);
+                        }
+                    }
+                }
+            }
+        }
+        if moved {
+            continue;
+        }
+        // Every unfinished party now waits on its collect window: advance
+        // to the next delivery, or to the earliest deadline before it.
+        let deadline = seats.iter().filter_map(|s| s.deadline).min();
+        match (net.queue.peek_time(), deadline) {
+            (_, None) => break, // every party is done
+            (Some(t), Some(d)) if t <= d => {
+                let Some((t, delivery)) = net.queue.pop() else {
+                    break;
+                };
+                net.now = net.now.max(t);
+                let (from, to) = (delivery.from, delivery.to);
+                let len = delivery.payload.len() as u64;
+                net.fingerprint.fold(&[t, from as u64, to as u64, len]);
+                let Some(seat) = seats.get_mut(to).filter(|s| !s.done) else {
+                    continue;
+                };
+                if seat.deadline.is_some() && seat.machine.label() == delivery.round {
+                    seat.machine.receive(from, &delivery.payload);
+                } else {
+                    seat.mailbox.push((delivery.round, from, delivery.payload));
+                }
+            }
+            (_, Some(d)) => net.now = net.now.max(d),
+        }
+    }
+    Ok(SimSessionReport {
+        outputs: seats
+            .into_iter()
+            .map(|s| s.machine.into_outcome(s.silenced))
+            .collect(),
+        traffic: net.wire.log().clone(),
+        elapsed: Duration::from_nanos(net.now),
+        fingerprint: net.fingerprint.value(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shs_core::{AbortReason, Member, SchemeKind};
+    use shs_crypto::drbg::HmacDrbg;
     use shs_net::fault::FaultRule;
 
-    fn echo_bodies(m: usize) -> Vec<impl FnOnce(SimLink) -> Vec<Option<Vec<u8>>> + Send> {
-        (0..m)
-            .map(|_| {
-                move |mut link: SimLink| {
-                    let me = PartyLink::slot(&link) as u8;
-                    link.broadcast("hello", vec![me]).unwrap();
-                    link.collect("hello", Duration::from_millis(50), &mut |_, _| true)
-                        .unwrap()
-                }
-            })
-            .collect()
+    fn members(n: usize) -> Vec<Member> {
+        let mut rng = HmacDrbg::from_seed(b"sim-network-members");
+        shs_core::fixtures::group_with_members(SchemeKind::Scheme1, n, &mut rng)
+            .unwrap()
+            .1
+    }
+
+    fn session(members: &[Member], plan: FaultPlan, latency: LatencyModel) -> SimSessionReport {
+        let actors: Vec<Actor<'_>> = members.iter().map(Actor::Member).collect();
+        let mut rngs: Vec<HmacDrbg> = (0..members.len())
+            .map(|i| HmacDrbg::from_seed(format!("sim-network-party-{i}").as_bytes()))
+            .collect();
+        let opts = HandshakeOptions::default();
+        let collect = Duration::from_millis(50);
+        run_session(&actors, &opts, plan, latency, collect, &mut rngs).unwrap()
     }
 
     #[test]
-    fn echo_round_reaches_everyone_in_virtual_time() {
+    fn every_view_completes_in_virtual_time() {
+        let members = members(4);
         let started = std::time::Instant::now();
-        let report = run_session(4, FaultPlan::new(1), LatencyModel::lan(2), echo_bodies(4));
-        for (slot, view) in report.outputs.iter().enumerate() {
-            assert_eq!(view.len(), 4);
-            for (from, v) in view.iter().enumerate() {
-                assert_eq!(v.as_deref(), Some(&[from as u8][..]), "slot {slot}");
-            }
+        let report = session(&members, FaultPlan::new(1), LatencyModel::lan(2));
+        for (slot, party) in report.outputs.iter().enumerate() {
+            let o = &party.outcome;
+            assert!(o.accepted, "slot {slot}");
+            assert_eq!(o.same_group_slots, vec![0, 1, 2, 3], "slot {slot}");
+            assert_eq!(o.verified_slots, vec![0, 1, 2, 3], "slot {slot}");
+            assert_eq!(party.stats.retries, 0, "slot {slot}: no view came up short");
         }
-        assert_eq!(report.traffic.len(), 4);
+        assert_eq!(report.traffic.len(), 4 * 4, "four rounds, four senders");
         assert!(
-            report.elapsed >= Duration::from_micros(200),
+            report.elapsed >= Duration::from_micros(4 * 200),
             "latency charged"
         );
         assert!(
@@ -569,12 +453,12 @@ mod tests {
 
     #[test]
     fn same_seed_same_trace() {
+        let members = members(3);
         let run = || {
-            let report = run_session(
-                3,
+            let report = session(
+                &members,
                 FaultPlan::new(9).with(FaultRule::drop().with_probability(0.4)),
                 LatencyModel::lan(5),
-                echo_bodies(3),
             );
             (report.fingerprint, report.elapsed, report.traffic)
         };
@@ -587,47 +471,46 @@ mod tests {
 
     #[test]
     fn dropped_delivery_times_out_the_collector() {
-        let report = run_session(
-            2,
+        let members = members(2);
+        let report = session(
+            &members,
             FaultPlan::new(3).with(FaultRule::drop().from(1).to(0)),
             LatencyModel::lan(4),
-            echo_bodies(2),
         );
-        assert!(report.outputs[0][1].is_none(), "slot 0 lost slot 1's hello");
-        assert!(report.outputs[1][0].is_some());
-        assert_eq!(report.traffic.faults().dropped, 1);
+        let short = &report.outputs[0];
+        assert_eq!(
+            short.outcome.abort,
+            Some(AbortReason::KeyAgreement),
+            "slot 0 never got slot 1's key-agreement message"
+        );
+        assert!(short.stats.retries > 0, "slot 0 waited out its windows");
+        assert!(report.traffic.faults().dropped >= 1);
     }
 
     #[test]
     fn crash_stop_silences_the_sender_after_its_budget() {
-        let m = 3;
-        let bodies: Vec<_> = (0..m)
-            .map(|_| {
-                move |mut link: SimLink| {
-                    let me = PartyLink::slot(&link) as u8;
-                    let mut views = Vec::new();
-                    for round in ["r1", "r2"] {
-                        link.broadcast(round, vec![me]).unwrap();
-                        let v = link
-                            .collect(round, Duration::from_millis(30), &mut |_, _| true)
-                            .unwrap();
-                        views.push(v.iter().filter(|x| x.is_some()).count());
-                    }
-                    views
-                }
-            })
-            .collect();
-        let report = run_session(
-            m,
+        let members = members(3);
+        let report = session(
+            &members,
             FaultPlan::new(6).with(FaultRule::crash_stop(2, 1)),
             LatencyModel::lan(7),
-            bodies,
         );
-        for views in &report.outputs {
-            assert_eq!(views[0], 3, "everyone alive in round 1");
-            assert_eq!(views[1], 2, "slot 2 dead in round 2");
-        }
+        let from_2 = report
+            .traffic
+            .records()
+            .iter()
+            .filter(|r| r.from_slot == 2)
+            .count();
+        assert_eq!(from_2, 1, "slot 2 reached the wire once, then died");
         assert!(report.traffic.faults().crash_silenced >= 1);
+        assert_eq!(report.outputs[2].outcome.abort, Some(AbortReason::Crashed));
+        for survivor in &report.outputs[..2] {
+            assert!(!survivor.outcome.accepted);
+            assert!(
+                survivor.outcome.abort.is_some(),
+                "slot 2's round 2 never came"
+            );
+        }
     }
 
     #[test]

@@ -11,13 +11,13 @@ use std::time::Duration;
 use common::{actors, group, rng};
 use shs_core::handshake::party::run_party;
 use shs_core::handshake::run_handshake_with_net;
-use shs_core::{Actor, HandshakeOptions, SchemeKind};
-use shs_net::fault::FaultPlan;
+use shs_core::{AbortReason, Actor, HandshakeOptions, SchemeKind};
+use shs_net::fault::{FaultPlan, FaultRule};
 use shs_net::observe::{TrafficLog, TrafficRecord};
 use shs_net::sync::BroadcastNet;
 use shs_sim::adversary::{Kind, Schedule};
 use shs_sim::core::LatencyModel;
-use shs_sim::network::{run_session, SimLink, SimMedium};
+use shs_sim::network::{run_session, SimMedium};
 use shs_sim::{run_scenario, ScenarioConfig, SimPool};
 
 const COLLECT: Duration = Duration::from_secs(5);
@@ -60,18 +60,12 @@ fn simulated_session_matches_hub_transcript_byte_for_byte() {
     // Simulated run: same members, same per-party seeds, virtual time.
     let mut r = rng(label);
     let (_, members) = group(SchemeKind::Scheme1, 3, &mut r);
-    let sim_bodies: Vec<_> = members
-        .into_iter()
-        .enumerate()
-        .map(|(i, member)| {
-            move |mut link: SimLink| {
-                let mut r = rng(&format!("{label}-{i}"));
-                run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
-                    .expect("sim party completes")
-            }
-        })
-        .collect();
-    let report = run_session(3, FaultPlan::new(7), LatencyModel::lan(7), sim_bodies);
+    let roster = actors(&members);
+    let mut rngs: Vec<_> = (0..3).map(|i| rng(&format!("{label}-{i}"))).collect();
+    let plan = FaultPlan::new(7);
+    let latency = LatencyModel::lan(7);
+    let report = run_session(&roster, &opts, plan, latency, COLLECT, &mut rngs)
+        .expect("sim session completes");
 
     for (slot, (h, s)) in hub_results.iter().zip(&report.outputs).enumerate() {
         assert!(h.outcome.accepted && s.outcome.accepted, "slot {slot}");
@@ -121,6 +115,40 @@ fn sim_medium_is_transparent_to_the_lockstep_engine() {
         assert_eq!(x.same_group_slots, y.same_group_slots);
     }
     assert!(sim.elapsed() > Duration::ZERO);
+}
+
+/// A slot the simulated wire crash-silences ends `Crashed`, exactly as
+/// the lockstep driver reports it: under `crash_stop(2, 3)` slot 2's
+/// Phase-III frame never reaches the wire, the survivors reject, and the
+/// silenced slot — which still heard everyone — does not get to accept.
+#[test]
+fn simulated_crash_stop_matches_lockstep_outcomes() {
+    let label = "sim-crash-equiv";
+    let mut r = rng(label);
+    let (_, members) = group(SchemeKind::Scheme1, 3, &mut r);
+    let roster = actors(&members);
+    let opts = HandshakeOptions::default();
+    let plan = || FaultPlan::new(23).with(FaultRule::crash_stop(2, 3));
+
+    let mut net = BroadcastNet::new(3, opts.delivery);
+    net.set_fault_plan(plan());
+    let lockstep = run_handshake_with_net(&roster, &opts, &mut net, &mut rng("sim-crash-lockstep"))
+        .expect("lockstep session");
+
+    let mut rngs: Vec<_> = (0..3).map(|i| rng(&format!("{label}-{i}"))).collect();
+    let report = run_session(
+        &roster,
+        &opts,
+        plan(),
+        LatencyModel::lan(23),
+        COLLECT,
+        &mut rngs,
+    )
+    .expect("sim session completes");
+
+    assert_eq!(lockstep.outcomes[2].abort, Some(AbortReason::Crashed));
+    let simulated: Vec<_> = report.outputs.into_iter().map(|p| p.outcome).collect();
+    assert_eq!(simulated, lockstep.outcomes, "per-slot outcomes agree");
 }
 
 /// Same seed, same campaign: a full scenario (arrivals, queueing,
