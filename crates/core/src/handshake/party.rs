@@ -4,9 +4,11 @@
 //! [`super::run_handshake_with_net`] is the *lockstep* driver — it owns
 //! every slot and performs whole exchanges on a [`shs_net::Medium`].
 //! [`run_party`] is its distributed counterpart: it steps exactly one
-//! [`PartyMachine`], broadcasting through a [`PartyLink`] (the threaded
-//! hub in tests, a framed TCP connection to a relay in the `shs-node`
-//! daemon) and collecting its co-parties' payloads with a deadline.
+//! [`PartyMachine`], broadcasting through a [`PartyLink`] (a framed TCP
+//! connection to a relay, as in the `shs-node` daemon) and collecting
+//! its co-parties' payloads with a deadline. The simulator
+//! (`shs_sim::network::run_session`) steps the same machine from one
+//! event loop in virtual time.
 //!
 //! Both drivers step the same machine, so they cannot drift apart on
 //! what a handshake sends or accepts. Only the completion test differs:
@@ -47,7 +49,7 @@ pub struct PartyOutcome {
 /// waits for the co-parties before spending a retransmission.
 ///
 /// A party cannot learn that the medium silenced its own sends: over
-/// the hub or TCP a crash-stopped party that still hears its co-parties
+/// TCP a crash-stopped party that still hears its co-parties
 /// completes the session locally. Only a driver that also owns the
 /// medium (the lockstep driver, `shs-sim`) reports
 /// [`crate::AbortReason::Crashed`].

@@ -2,14 +2,13 @@
 //! the discrete-event simulator.
 //!
 //! Every place the networking runtime used to consult the OS clock
-//! directly — the hub's delivery-patience loop, the supervisor's
-//! reconnect backoff, the serve layer's between-attempt backoff — now
-//! goes through a [`Clock`]. Production code uses [`WallClock`]
-//! (identical behaviour to the old direct calls); the `shs-sim`
-//! discrete-event simulator supplies a [`VirtualClock`] whose `sleep`
-//! *advances* time instead of blocking, so a simulated run with delay
-//! faults or deep backoff schedules costs zero wall-clock time and
-//! stays bit-reproducible.
+//! directly — the supervisor's reconnect backoff, the serve layer's
+//! between-attempt backoff — now goes through a [`Clock`]. Production
+//! code uses [`WallClock`] (identical behaviour to the old direct
+//! calls); the `shs-sim` discrete-event simulator supplies a
+//! [`VirtualClock`] whose `sleep` *advances* time instead of blocking,
+//! so a simulated run with delay faults or deep backoff schedules costs
+//! zero wall-clock time and stays bit-reproducible.
 //!
 //! The trait is deliberately tiny: a monotonic "now" as a [`Duration`]
 //! since the clock's own epoch, plus a sleep. Durations (rather than

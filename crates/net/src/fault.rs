@@ -5,8 +5,8 @@
 //! half can be exercised: messages can be dropped, duplicated, corrupted,
 //! truncated or delayed, parties can crash-stop mid-session, and the
 //! medium can partition. A [`FaultPlan`] is a deterministic (seeded)
-//! schedule of [`FaultRule`]s consulted on every delivery by both
-//! [`crate::sync::BroadcastNet`] and the threaded [`crate::hub`]; every
+//! schedule of [`FaultRule`]s consulted on every delivery by every
+//! medium, through one rule ([`crate::wire::Wire`]); every
 //! fault that fires is tallied in [`FaultCounters`], exposed through
 //! [`crate::observe::TrafficLog::faults`] so tests and benches can assert
 //! exactly which faults fired.
@@ -36,7 +36,8 @@ pub enum FaultKind {
     /// The payload is cut at a uniformly chosen point.
     Truncate,
     /// The delivery is held back and re-delivered on a *later* exchange
-    /// carrying the same round label (i.e. a retransmission round).
+    /// carrying the same round label (a lockstep retransmission round;
+    /// under per-sender delivery, any later broadcast with that label).
     Delay {
         /// How many matching exchanges to sit out.
         rounds: u32,
@@ -242,8 +243,9 @@ impl FaultPlan {
     }
 
     /// The tightest crash-stop budget for `slot`: how many broadcasts it
-    /// gets before dying, if any rule targets it. Used by the hub, whose
-    /// crash clock ticks per sender broadcast rather than per exchange.
+    /// gets before dying, if any rule targets it. Used by
+    /// [`crate::wire::Wire::broadcast`], whose crash clock ticks per
+    /// sender broadcast rather than per exchange.
     pub fn crash_budget(&self, slot: usize) -> Option<u32> {
         self.rules
             .iter()
@@ -257,17 +259,17 @@ impl FaultPlan {
             .min()
     }
 
-    /// Counts one crash-suppressed broadcast (for media that implement
-    /// the crash clock themselves, like the hub and the `shs-sim`
-    /// virtual-time session, whose crash clocks tick per sender
-    /// broadcast rather than per exchange).
+    /// Counts one crash-suppressed broadcast (for
+    /// [`crate::wire::Wire::broadcast`], which runs the crash clock
+    /// itself, per sender broadcast rather than per exchange).
     pub fn note_crash_silenced(&mut self) {
         self.counters.crash_silenced += 1;
     }
 
     /// Marks the start of a broadcast exchange under `round`, returning
     /// any delayed deliveries that come due on this (retransmission)
-    /// exchange. Call exactly once per `exchange`/hub-relay round.
+    /// exchange. Call exactly once per lockstep exchange or per relayed
+    /// broadcast.
     pub fn begin_exchange(&mut self, round: &str) -> Vec<Redelivery> {
         self.exchanges += 1;
         let mut due = Vec::new();

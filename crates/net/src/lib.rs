@@ -10,10 +10,9 @@
 //!   medium with pluggable delivery order ([`DeliveryPolicy`]), an
 //!   eavesdropper-facing traffic log ([`observe`]) and a
 //!   man-in-the-middle interception hook.
-//! * [`hub::run_session`] — a threaded, asynchronous (guaranteed-delivery)
-//!   variant where each party runs on its own thread and messages are
-//!   delivered through channels in adversarially perturbed order. Used by
-//!   the E10 model-agnosticism experiment.
+//! * [`tcp`] — the production wire: framed TCP connections bridged by a
+//!   broadcast relay, with one [`PartyLink`] per party
+//!   ([`tcp::TcpParty`]) for multi-process sessions.
 //! * [`serve::Service`] — a long-lived multi-session service on top:
 //!   session lifecycle registry, bounded-queue admission control with
 //!   decoy-traffic load shedding, survivor re-formation after aborts,
@@ -25,15 +24,15 @@
 //!
 //! # Failure model
 //!
-//! By default both media guarantee delivery, matching the paper's system
-//! model. Installing a [`fault::FaultPlan`] (via
+//! By default every medium guarantees delivery, matching the paper's
+//! system model. Installing a [`fault::FaultPlan`] (via
 //! [`sync::BroadcastNet::set_fault_plan`] or
-//! [`hub::run_session_with`]) weakens the medium to a lossy,
+//! [`tcp::RelayHandle::bind`]) weakens the medium to a lossy,
 //! malicious network: deliveries may be dropped, duplicated, corrupted,
-//! truncated, delayed to a later retransmission, cut by a partition, or
-//! silenced entirely by a crash-stopped sender. Every medium applies the
-//! plan through one rule, [`wire::Wire`], so two invariants hold
-//! regardless of the plan and the medium:
+//! truncated, delayed to a later send of the same round, cut by a
+//! partition, or silenced entirely by a crash-stopped sender. Every
+//! medium applies the plan through one rule, [`wire::Wire`], so two
+//! invariants hold regardless of the plan and the medium:
 //!
 //! * **The eavesdropper log records what senders put on the wire.**
 //!   Per-receiver faults (drop/corrupt/truncate/delay/partition) never
@@ -76,7 +75,6 @@ macro_rules! additive_counters {
 
 pub mod clock;
 pub mod fault;
-pub mod hub;
 pub mod observe;
 pub mod serve;
 pub mod sync;
@@ -198,9 +196,9 @@ pub trait Medium {
 /// party runs in its own thread or OS process (the distributed
 /// counterpart of [`Medium`], which holds all slots in one place).
 ///
-/// [`hub::PartyHandle`] implements this over in-process channels (the
-/// test seam); [`tcp::TcpParty`] implements it over a framed TCP
-/// connection to a relay.
+/// [`tcp::TcpParty`] implements it over a framed TCP connection to a
+/// relay. The simulator (`shs-sim`) steps its parties' machines from one
+/// event loop instead and needs no link.
 pub trait PartyLink {
     /// This party's anonymous slot.
     fn slot(&self) -> usize;

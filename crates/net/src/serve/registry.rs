@@ -191,7 +191,7 @@ additive_counters! {
         /// Illegal lifecycle transitions that were requested (and refused).
         pub illegal_transitions: u64,
         /// Messages lost to backpressure across every recorded attempt
-        /// (bounded-queue sheds in the hub, outbox sheds at the TCP relay).
+        /// (outbox and stash sheds at the TCP relay).
         pub backpressure_dropped: u64,
     }
 }

@@ -29,9 +29,14 @@
 //! here too.
 //!
 //! A receiver that stops draining its socket past the write deadline
-//! loses frames (tallied as
-//! [`crate::observe::FaultCounters::backpressure_dropped`]) rather than
-//! wedging the relay — the same contract as the threaded hub.
+//! cannot wedge the relay: the relay aborts that seat's connection and
+//! retires the seat, as if it had vanished, and tallies the frames it
+//! could not finish writing as
+//! [`crate::observe::FaultCounters::backpressure_dropped`]. The seat is
+//! not kept on, because a timed-out write may already have put part of a
+//! frame on the socket; anything written after it would reach the
+//! receiver as a torn stream. The stalled party reads the whole frames
+//! that did arrive, then a disconnect, and may re-attach to its seat.
 
 use crate::fault::FaultPlan;
 use crate::observe::TrafficLog;
@@ -541,21 +546,24 @@ impl CoreState {
         }
     }
 
-    /// Writes an outbox to one seat. A write deadline sheds the rest of
-    /// the outbox (backpressure; the receiver's collect deadline and the
-    /// session budget absorb the loss); a disconnect retires the seat.
+    /// Writes an outbox to one seat. A disconnect retires the seat. So
+    /// does a write deadline, after aborting the connection: the timed-out
+    /// write may have left part of a frame on the socket, so nothing more
+    /// can follow it. The frames not fully written are shed (backpressure;
+    /// the receiver's collect deadline and the session budget absorb the
+    /// loss).
     fn ship(&mut self, to: usize, outbox: &[Frame]) {
         let Some(Some(conn)) = self.writers.get_mut(to) else {
             return;
         };
-        for frame in outbox {
+        for (sent, frame) in outbox.iter().enumerate() {
             match conn.send(frame) {
                 Ok(()) => {}
-                Err(NetError::Timeout) => {
-                    self.bp_dropped += (outbox.len()) as u64;
-                    return;
-                }
-                Err(_) => {
+                Err(e) => {
+                    if e == NetError::Timeout {
+                        conn.abort();
+                        self.bp_dropped += (outbox.len() - sent) as u64;
+                    }
                     if let Some(a) = self.alive.get_mut(to) {
                         *a = false;
                     }
@@ -772,6 +780,60 @@ mod tests {
             }
         };
         assert_eq!(rejoined.slot, 1);
+        relay.shutdown();
+    }
+
+    /// A seat that floods the relay and does not read stalls its own
+    /// socket. The relay sheds what it cannot write and retires the seat
+    /// instead of writing more after a timed-out, possibly partial frame:
+    /// the stalled seat reads whole frames and then a disconnect, never a
+    /// torn stream, and the draining seat still finishes the session.
+    #[test]
+    fn stalled_receiver_is_retired_without_tearing_its_stream() {
+        let config = RelayConfig {
+            gather_deadline: Duration::from_secs(5),
+            round_deadline: Duration::from_millis(20),
+            idle_timeout: Duration::from_secs(5),
+            conn: ConnConfig {
+                write_deadline: Duration::from_millis(100),
+                ..ConnConfig::default()
+            },
+            ..RelayConfig::new(2)
+        };
+        let relay = RelayHandle::bind("127.0.0.1:0", config, None).unwrap();
+        let addr = relay.addr();
+        let cfg = SupervisorConfig::default();
+        let drainer = thread::spawn(move || {
+            let a = attach(addr, &cfg, Some(0)).unwrap();
+            let mut conn = a.conn;
+            while conn.recv_within(Duration::from_millis(500)).is_ok() {}
+            conn.goodbye();
+        });
+        let mut stalled = attach(addr, &cfg, Some(1)).unwrap().conn;
+        for _ in 0..40 {
+            let frame = Frame::Broadcast {
+                round: "flood".to_string(),
+                from_slot: 1,
+                payload: vec![0xA5; 900 * 1024],
+            };
+            if stalled.send(&frame).is_err() {
+                break;
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while relay.traffic().faults().backpressure_dropped == 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(50));
+        }
+        let err = loop {
+            match stalled.recv_within(Duration::from_secs(2)) {
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, NetError::Disconnected, "whole frames, then the abort");
+        assert!(relay.traffic().faults().backpressure_dropped >= 1);
+        drainer.join().unwrap();
+        assert!(relay.wait_done(Duration::from_secs(10)), "relay wedged");
         relay.shutdown();
     }
 

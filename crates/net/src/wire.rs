@@ -4,15 +4,18 @@
 //! put on the wire; faults act only downstream of it, one (sender,
 //! receiver) delivery at a time, through [`FaultPlan::deliver`]. A
 //! crash-stopped sender transmits and logs nothing, and copies a delay
-//! rule held back come out on a later exchange with the same round label.
+//! rule held back come out on a later send with the same round label.
 //!
 //! [`Wire`] owns that rule together with the plan and the log.
 //! [`Wire::lockstep`] runs one exchange of every slot's payload, its crash
 //! clock ticking per exchange ([`crate::sync::BroadcastNet`], the TCP
 //! relay, `shs-sim`'s `SimMedium`). [`Wire::broadcast`] relays one
 //! sender's message, its crash clock ticking per broadcast of that sender
-//! (the threaded [`crate::hub`], `shs-sim`'s per-party session). Both
-//! consume the plan's seeded coins in one fixed order. What a medium does
+//! (`shs-sim`'s per-party session). Its delay clock ticks on every
+//! broadcast under the same label, from any sender: a held copy comes out
+//! on the `rounds`-th such broadcast, whether that is a retransmission or
+//! another slot's first send of the round. Both consume the plan's seeded
+//! coins in one fixed order. What a medium does
 //! beyond the rule — charge latency, build frames, shuffle — happens in
 //! its per-delivery hook, which sees every decision as an [`Arrival`].
 

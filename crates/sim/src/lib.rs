@@ -21,8 +21,9 @@
 //!   latency distributions, the trace fingerprint.
 //! * [`network`] — the simulated media: [`network::SimMedium`] (drop-in
 //!   for the lockstep `BroadcastNet`) and [`network::run_session`]
-//!   (virtual-time counterpart of the threaded hub: one event loop
-//!   stepping every slot's unmodified handshake machine, no threads).
+//!   (virtual-time counterpart of per-party drivers on a TCP relay: one
+//!   event loop stepping every slot's unmodified handshake machine, no
+//!   threads).
 //! * [`adversary`] — pluggable schedules over the `shs-net` fault
 //!   vocabulary: partition, slow-loris, phase-timed crash, Sybil
 //!   flood, epoch churn.

@@ -2,13 +2,13 @@
 //! and [`run_session`] (per-party) — the two seams through which the
 //! *unmodified* handshake machine runs under virtual time.
 //!
-//! Both deliver through [`shs_net::wire::Wire`], the fault rule their
-//! production counterparts run — [`Wire::lockstep`] like
-//! [`shs_net::sync::BroadcastNet`] for the lockstep medium,
-//! [`Wire::broadcast`] like the threaded [`shs_net::hub`] for the
-//! per-party session — so [`FaultPlan`] coin order, the eavesdropper log
-//! discipline and the crash clocks are the production ones by
-//! construction. What they add, in the per-delivery hook, is *time*:
+//! Both deliver through [`shs_net::wire::Wire`], the fault rule every
+//! medium runs — [`Wire::lockstep`] like [`shs_net::sync::BroadcastNet`]
+//! and the TCP relay for the lockstep medium, [`Wire::broadcast`] (crash
+//! and delay clocks per sender broadcast) for the per-party session — so
+//! [`FaultPlan`] coin order, the eavesdropper log discipline and the
+//! crash clocks are the production ones by construction. What they add,
+//! in the per-delivery hook, is *time*:
 //! every delivery gets a seeded latency draw, collect windows and
 //! patience are measured on the virtual clock, and nothing ever calls
 //! `thread::sleep`.
@@ -224,8 +224,8 @@ struct Net {
 
 impl Net {
     /// Broadcasts the party's open-round payload through
-    /// [`Wire::broadcast`] (the hub's rule: per-sender crash clock,
-    /// eavesdropper log, released delayed copies, per-receiver faulting),
+    /// [`Wire::broadcast`] (per-sender crash clock, eavesdropper log,
+    /// released delayed copies, per-receiver faulting),
     /// scheduling every copy that arrives, and starts its collect window.
     fn send(&mut self, slot: usize, seat: &mut Seat<'_, '_>) {
         let (seq, round) = (seat.sent, seat.machine.label().to_string());
@@ -275,12 +275,12 @@ pub struct SimSessionReport {
 
 /// Runs a handshake among `actors`, each slot a per-party
 /// [`PartyMachine`] drawing from its own entry of `rngs`, over the
-/// simulated medium — the virtual-time analogue of
-/// [`shs_net::hub::run_session_with`] driving
-/// [`shs_core::handshake::party::run_party`]: same guaranteed-delivery
-/// semantics under an empty plan, same fault vocabulary under a
-/// non-empty one, but each round's `collect_timeout` is virtual and the
-/// whole session runs on the calling thread with zero wall-clock sleeps.
+/// simulated medium — the virtual-time analogue of one thread per slot
+/// driving [`shs_core::handshake::party::run_party`] over a TCP relay:
+/// the same transcript under an empty plan (guaranteed delivery), the
+/// same fault vocabulary under a non-empty one, but each round's
+/// `collect_timeout` is virtual and the whole session runs on the
+/// calling thread with zero wall-clock sleeps.
 ///
 /// One event loop owns every machine and the [`Wire`]. Parties run their
 /// local stages in slot order at each instant; then every party whose
@@ -511,6 +511,42 @@ mod tests {
                 "slot 2's round 2 never came"
             );
         }
+    }
+
+    #[test]
+    fn duplicated_deliveries_are_collected_once() {
+        let members = members(3);
+        let report = session(
+            &members,
+            FaultPlan::new(4).with(FaultRule::duplicate()),
+            LatencyModel::lan(8),
+        );
+        let key = report.outputs[0].outcome.session_key.clone();
+        assert!(key.is_some());
+        for (slot, party) in report.outputs.iter().enumerate() {
+            assert!(party.outcome.accepted, "slot {slot}");
+            assert_eq!(party.outcome.session_key, key, "slot {slot}: one key");
+        }
+        assert!(report.traffic.faults().duplicated >= 1);
+    }
+
+    /// The per-sender delay clock ticks on any broadcast under the held
+    /// copy's label: slot 1's first-round copy to slot 0 comes out with
+    /// slot 2's first send of that round, not with a retransmission.
+    #[test]
+    fn delayed_copy_is_released_by_the_next_same_label_send() {
+        let members = members(3);
+        let report = session(
+            &members,
+            FaultPlan::new(5).with(FaultRule::delay(1).from(1).to(0).at_most(1)),
+            LatencyModel::lan(9),
+        );
+        for (slot, party) in report.outputs.iter().enumerate() {
+            assert!(party.outcome.accepted, "slot {slot}");
+            assert_eq!(party.stats.retries, 0, "slot {slot}: no retransmission");
+        }
+        let faults = report.traffic.faults();
+        assert_eq!((faults.delayed, faults.redelivered), (1, 1));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Offline stand-in for `crossbeam`, backed by `std::sync::mpsc`.
 //!
-//! Only the `channel` MPSC surface the workspace uses is provided:
-//! [`channel::unbounded`] and [`channel::bounded`] constructors plus
-//! blocking, non-blocking and deadline receives. `std`'s channels are
-//! MPSC rather than MPMC, which matches every use site here (each
-//! receiver has a single owner thread, or is shared behind a mutex).
+//! Only the `channel` MPSC surface the workspace uses is provided: the
+//! [`channel::bounded`] constructor, blocking and non-blocking sends, and
+//! the deadline receive. `std`'s channels are MPSC rather than MPMC,
+//! which matches every use site here (each receiver has a single owner
+//! thread).
 
 #![forbid(unsafe_code)]
 
@@ -20,23 +20,10 @@ pub mod channel {
     /// Error returned by [`Sender::try_send`].
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum TrySendError<T> {
-        /// The channel is bounded and at capacity.
+        /// The channel is at capacity.
         Full(T),
         /// All receivers disconnected.
         Disconnected(T),
-    }
-
-    /// Error returned by [`Receiver::recv`] when all senders are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message currently queued.
-        Empty,
-        /// All senders disconnected and the queue is drained.
-        Disconnected,
     }
 
     /// Error returned by [`Receiver::recv_timeout`].
@@ -48,26 +35,9 @@ pub mod channel {
         Disconnected,
     }
 
-    /// One sending half: unbounded channels enqueue without limit,
-    /// bounded ones block (or report `Full` from `try_send`) at capacity.
-    #[derive(Debug)]
-    enum Tx<T> {
-        Unbounded(mpsc::Sender<T>),
-        Bounded(mpsc::SyncSender<T>),
-    }
-
-    impl<T> Clone for Tx<T> {
-        fn clone(&self) -> Self {
-            match self {
-                Tx::Unbounded(tx) => Tx::Unbounded(tx.clone()),
-                Tx::Bounded(tx) => Tx::Bounded(tx.clone()),
-            }
-        }
-    }
-
     /// Sending half of a channel.
     #[derive(Debug)]
-    pub struct Sender<T>(Tx<T>);
+    pub struct Sender<T>(mpsc::SyncSender<T>);
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
@@ -76,27 +46,19 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Enqueues a message, blocking while a bounded channel is at
-        /// capacity; fails only if every receiver is dropped.
+        /// Enqueues a message, blocking while the channel is at capacity;
+        /// fails only if every receiver is dropped.
         pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            match &self.0 {
-                Tx::Unbounded(tx) => tx.send(msg).map_err(|mpsc::SendError(m)| SendError(m)),
-                Tx::Bounded(tx) => tx.send(msg).map_err(|mpsc::SendError(m)| SendError(m)),
-            }
+            self.0.send(msg).map_err(|mpsc::SendError(m)| SendError(m))
         }
 
-        /// Enqueues a message without blocking: a bounded channel at
-        /// capacity reports [`TrySendError::Full`] immediately.
+        /// Enqueues a message without blocking: a channel at capacity
+        /// reports [`TrySendError::Full`] immediately.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            match &self.0 {
-                Tx::Unbounded(tx) => tx
-                    .send(msg)
-                    .map_err(|mpsc::SendError(m)| TrySendError::Disconnected(m)),
-                Tx::Bounded(tx) => tx.try_send(msg).map_err(|e| match e {
-                    mpsc::TrySendError::Full(m) => TrySendError::Full(m),
-                    mpsc::TrySendError::Disconnected(m) => TrySendError::Disconnected(m),
-                }),
-            }
+            self.0.try_send(msg).map_err(|e| match e {
+                mpsc::TrySendError::Full(m) => TrySendError::Full(m),
+                mpsc::TrySendError::Disconnected(m) => TrySendError::Disconnected(m),
+            })
         }
     }
 
@@ -105,19 +67,6 @@ pub mod channel {
     pub struct Receiver<T>(mpsc::Receiver<T>);
 
     impl<T> Receiver<T> {
-        /// Blocks for the next message.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Non-blocking receive.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv().map_err(|e| match e {
-                mpsc::TryRecvError::Empty => TryRecvError::Empty,
-                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-            })
-        }
-
         /// Blocks for the next message up to `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             self.0.recv_timeout(timeout).map_err(|e| match e {
@@ -127,36 +76,28 @@ pub mod channel {
         }
     }
 
-    /// Creates an unbounded MPSC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(Tx::Unbounded(tx)), Receiver(rx))
-    }
-
     /// Creates a bounded MPSC channel holding at most `cap` messages;
     /// further sends block (or fail from `try_send`) until the receiver
     /// drains. `cap = 0` is a rendezvous channel, as in real crossbeam.
     pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
         let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender(Tx::Bounded(tx)), Receiver(rx))
+        (Sender(tx), Receiver(rx))
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
 
+        const TICK: Duration = Duration::from_millis(1);
+
         #[test]
         fn send_recv_try_timeout() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = bounded(4);
             tx.send(1).unwrap();
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            assert_eq!(rx.recv_timeout(TICK), Ok(1));
+            assert_eq!(rx.recv_timeout(TICK), Err(RecvTimeoutError::Timeout));
             drop(tx);
-            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(1)),
-                Err(RecvTimeoutError::Disconnected)
-            );
+            assert_eq!(rx.recv_timeout(TICK), Err(RecvTimeoutError::Disconnected));
         }
 
         #[test]
@@ -165,10 +106,10 @@ pub mod channel {
             assert_eq!(tx.try_send(1), Ok(()));
             assert_eq!(tx.try_send(2), Ok(()));
             assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(rx.recv_timeout(TICK), Ok(1));
             assert_eq!(tx.try_send(3), Ok(()));
-            assert_eq!(rx.recv(), Ok(2));
-            assert_eq!(rx.recv(), Ok(3));
+            assert_eq!(rx.recv_timeout(TICK), Ok(2));
+            assert_eq!(rx.recv_timeout(TICK), Ok(3));
             drop(rx);
             assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
         }
@@ -178,8 +119,9 @@ pub mod channel {
             let (tx, rx) = bounded(1);
             tx.send(10).unwrap();
             let t = std::thread::spawn(move || tx.send(11));
-            assert_eq!(rx.recv(), Ok(10));
-            assert_eq!(rx.recv(), Ok(11));
+            let wait = Duration::from_secs(5);
+            assert_eq!(rx.recv_timeout(wait), Ok(10));
+            assert_eq!(rx.recv_timeout(wait), Ok(11));
             t.join().unwrap().unwrap();
         }
     }

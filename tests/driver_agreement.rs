@@ -1,6 +1,6 @@
 //! The lockstep driver (`run_handshake`) and the per-party driver
-//! (`run_party`, one thread per slot over the in-process hub) must reach
-//! the same per-slot verdict on every roster shape: other key
+//! (`run_party`, one thread per slot over TCP to a loopback relay) must
+//! reach the same per-slot verdict on every roster shape: other key
 //! agreements, mixed groups with partial success, an outsider, and a
 //! Scheme-2 member that occupies two slots.
 
@@ -9,11 +9,12 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{group, rng};
+use common::{group, over_relay, rng};
 use shs_core::config::DgkaChoice;
 use shs_core::handshake::party::run_party;
 use shs_core::handshake::run_handshake;
 use shs_core::{Actor, HandshakeOptions, Member, Outcome, SchemeKind};
+use shs_net::tcp::TcpParty;
 
 const COLLECT: Duration = Duration::from_secs(5);
 
@@ -38,15 +39,15 @@ fn per_party(label: &str, roster: &Roster, opts: HandshakeOptions) -> Vec<Outcom
         .map(|(i, seat)| {
             let label = format!("{label}-party-{i}");
             let pool = Arc::clone(&roster.pool);
-            move |mut link: shs_net::hub::PartyHandle| {
+            move |link: &mut TcpParty| {
                 let mut r = rng(&label);
-                run_party(&actor(&pool, seat), &opts, &mut link, COLLECT, &mut r)
+                run_party(&actor(&pool, seat), &opts, link, COLLECT, &mut r)
                     .expect("party completes")
                     .outcome
             }
         })
         .collect();
-    shs_net::hub::run_session(roster.seats.len(), 5, bodies).0
+    over_relay(bodies).0
 }
 
 fn assert_drivers_agree(label: &str, roster: &Roster, opts: HandshakeOptions) {

@@ -5,10 +5,15 @@
 
 mod common;
 
+use std::time::Duration;
+
 use common::{actors, group, rng};
 use shs_core::handshake::run_handshake;
 use shs_core::{Actor, HandshakeOptions, SchemeKind};
+use shs_net::fault::FaultPlan;
 use shs_net::DeliveryPolicy;
+use shs_sim::core::LatencyModel;
+use shs_sim::network::run_session;
 
 #[test]
 fn reordered_delivery_preserves_success() {
@@ -73,63 +78,48 @@ fn reordered_delivery_preserves_self_distinction() {
     assert!(!result.outcomes[1].accepted);
 }
 
+/// E10 over a fully asynchronous medium: every slot steps its own party
+/// machine, as `run_party` does, and each delivery draws its own transit
+/// time of 50 µs plus up to 40 ms of jitter, so a slow delivery of one
+/// round routinely lands after a fast party's next-round message. The
+/// full handshake still completes with one key and no retransmission
+/// for every latency seed, and each seed orders the deliveries
+/// differently.
 #[test]
-fn threaded_async_hub_reaches_agreement() {
-    // The fully asynchronous threaded hub (each party on its own OS
-    // thread, hub delivering in adversarial order) still completes a
-    // Burmester–Desmedt agreement — the DGKA building block really is
-    // model-agnostic, not just round-shuffled.
-    use shs_dgka::bd;
-    use shs_groups::schnorr::{SchnorrGroup, SchnorrPreset};
-    use shs_net::hub::{run_session, PartyHandle};
-
-    let m = 4usize;
-    let bodies: Vec<_> = (0..m)
-        .map(|i| {
-            move |h: PartyHandle| {
-                let group = SchnorrGroup::system_wide(SchnorrPreset::Test);
-                let mut rng = shs_crypto::drbg::HmacDrbg::from_seed(format!("hub-{i}").as_bytes());
-                let (mut party, r1) = bd::Party::start(group, m, i, &mut rng).unwrap();
-                h.broadcast("bd-r1", encode(&r1.sender, &r1.z));
-                let round1: Vec<bd::Round1> = h
-                    .collect_round("bd-r1")
-                    .expect("guaranteed delivery")
-                    .into_iter()
-                    .map(|(_, p)| decode_r1(&p))
-                    .collect();
-                let r2 = party.round2(&round1).unwrap();
-                h.broadcast("bd-r2", encode(&r2.sender, &r2.x));
-                let round2: Vec<bd::Round2> = h
-                    .collect_round("bd-r2")
-                    .expect("guaranteed delivery")
-                    .into_iter()
-                    .map(|(_, p)| decode_r2(&p))
-                    .collect();
-                party.finish(&round2).unwrap().key
-            }
-        })
-        .collect();
-    let (keys, log) = run_session(m, 1234, bodies);
-    for k in &keys[1..] {
-        assert_eq!(k, &keys[0], "all parties agree over the async hub");
-    }
-    assert_eq!(log.len(), 2 * m);
-
-    fn encode(sender: &usize, v: &shs_bigint::Ubig) -> Vec<u8> {
-        let mut out = (*sender as u32).to_be_bytes().to_vec();
-        out.extend_from_slice(&v.to_bytes_be());
-        out
-    }
-    fn decode_r1(p: &[u8]) -> bd::Round1 {
-        bd::Round1 {
-            sender: u32::from_be_bytes(p[..4].try_into().unwrap()) as usize,
-            z: shs_bigint::Ubig::from_bytes_be(&p[4..]),
+fn asynchronous_delivery_reaches_agreement() {
+    let m = 4;
+    let mut r = rng("ma-async");
+    let (_, members) = group(SchemeKind::Scheme1, m, &mut r);
+    let roster = actors(&members);
+    let opts = HandshakeOptions::default();
+    let mut fingerprints = Vec::new();
+    for seed in 1..=5u64 {
+        let latency = LatencyModel {
+            base: Duration::from_micros(50),
+            jitter: Duration::from_millis(40),
+            seed,
+        };
+        let mut rngs: Vec<_> = (0..m).map(|i| rng(&format!("ma-async-{i}"))).collect();
+        let report = run_session(
+            &roster,
+            &opts,
+            FaultPlan::new(seed),
+            latency,
+            Duration::from_secs(5),
+            &mut rngs,
+        )
+        .expect("simulated session");
+        let key = report.outputs[0].outcome.session_key.clone();
+        assert!(key.is_some(), "seed {seed}: keyed");
+        for (slot, party) in report.outputs.iter().enumerate() {
+            assert!(party.outcome.accepted, "seed {seed}: slot {slot} accepts");
+            assert_eq!(party.outcome.session_key, key, "seed {seed}: slot {slot}");
+            assert_eq!(party.stats.retries, 0, "seed {seed}: slot {slot}");
         }
+        assert_eq!(report.traffic.len(), 4 * m, "four rounds, one send each");
+        fingerprints.push(report.fingerprint);
     }
-    fn decode_r2(p: &[u8]) -> bd::Round2 {
-        bd::Round2 {
-            sender: u32::from_be_bytes(p[..4].try_into().unwrap()) as usize,
-            x: shs_bigint::Ubig::from_bytes_be(&p[4..]),
-        }
-    }
+    fingerprints.sort_unstable();
+    fingerprints.dedup();
+    assert_eq!(fingerprints.len(), 5, "each seed schedules differently");
 }

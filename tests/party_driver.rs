@@ -1,25 +1,23 @@
-//! The per-party driver seam: `run_party` over in-process links and
-//! over real TCP must agree with the lockstep driver's acceptance
-//! logic (they share the phase code, so disagreement would mean the
-//! exchange loops diverged).
+//! The per-party driver seam: `run_party` over real TCP must agree with
+//! the lockstep driver's acceptance logic (they step the same machine,
+//! so disagreement would mean the drivers diverged).
 
 mod common;
 
 use std::time::Duration;
 
-use common::{group, rng};
+use common::{group, over_relay, rng};
 use shs_core::handshake::party::run_party;
 use shs_core::{Actor, HandshakeOptions, SchemeKind};
-use shs_net::hub::run_session;
-use shs_net::tcp::{RelayConfig, RelayHandle, SupervisorConfig, TcpParty};
+use shs_net::tcp::TcpParty;
 
 const COLLECT: Duration = Duration::from_secs(5);
 
-/// Three co-members, each on its own thread behind a hub link: everyone
-/// accepts and derives the same session key — exactly what the lockstep
-/// driver concludes for the same configuration.
+/// Three co-members, each on its own thread behind a TCP link to one
+/// relay: everyone accepts and derives the same session key — exactly
+/// what the lockstep driver concludes for the same configuration.
 #[test]
-fn hub_parties_agree_with_lockstep_acceptance() {
+fn tcp_parties_agree_with_lockstep_acceptance() {
     let mut r = rng("party-hub-accept");
     let (_, members) = group(SchemeKind::Scheme1, 3, &mut r);
     let opts = HandshakeOptions::default();
@@ -27,14 +25,14 @@ fn hub_parties_agree_with_lockstep_acceptance() {
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            move |mut link: shs_net::hub::PartyHandle| {
+            move |link: &mut TcpParty| {
                 let mut r = rng(&format!("party-hub-accept-{i}"));
-                run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
+                run_party(&Actor::Member(&member), &opts, link, COLLECT, &mut r)
                     .expect("party completes")
             }
         })
         .collect();
-    let (results, traffic) = run_session(3, 7, bodies);
+    let (results, traffic) = over_relay(bodies);
     let keys: Vec<_> = results
         .iter()
         .map(|p| p.outcome.session_key.clone().expect("keyed"))
@@ -54,7 +52,7 @@ fn hub_parties_agree_with_lockstep_acceptance() {
 /// Mixed groups over party links: an ordinary failure — completions
 /// without keys, not aborts — matching the lockstep semantics.
 #[test]
-fn hub_parties_fail_ordinarily_across_groups() {
+fn tcp_parties_fail_ordinarily_across_groups() {
     let mut r = rng("party-hub-mixed");
     let (_, mut ours) = group(SchemeKind::Scheme1, 2, &mut r);
     let (_, mut foreign) = group(SchemeKind::Scheme1, 1, &mut r);
@@ -69,14 +67,14 @@ fn hub_parties_fail_ordinarily_across_groups() {
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            move |mut link: shs_net::hub::PartyHandle| {
+            move |link: &mut TcpParty| {
                 let mut r = rng(&format!("party-hub-mixed-{i}"));
-                run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
+                run_party(&Actor::Member(&member), &opts, link, COLLECT, &mut r)
                     .expect("party completes")
             }
         })
         .collect();
-    let (results, _) = run_session(3, 8, bodies);
+    let (results, _) = over_relay(bodies);
     for (i, p) in results.iter().enumerate() {
         assert!(!p.outcome.accepted, "slot {i} rejects");
         assert!(p.outcome.session_key.is_none());
@@ -98,35 +96,18 @@ fn tcp_parties_complete_a_real_network_handshake() {
     let mut r = rng("party-tcp-accept");
     let (_, members) = group(SchemeKind::Scheme1, 2, &mut r);
     let opts = HandshakeOptions::default();
-    let relay = RelayHandle::bind(
-        "127.0.0.1:0",
-        RelayConfig {
-            gather_deadline: Duration::from_secs(10),
-            ..RelayConfig::new(2)
-        },
-        None,
-    )
-    .expect("bind relay");
-    let addr = relay.addr();
-    let workers: Vec<_> = members
+    let bodies: Vec<_> = members
         .into_iter()
         .enumerate()
         .map(|(i, member)| {
-            std::thread::spawn(move || {
-                let sup = SupervisorConfig {
-                    seed: i as u64,
-                    ..SupervisorConfig::default()
-                };
-                let mut link = TcpParty::attach(addr, sup, Some(i)).expect("attach");
+            move |link: &mut TcpParty| {
                 let mut r = rng(&format!("party-tcp-accept-{i}"));
-                let out = run_party(&Actor::Member(&member), &opts, &mut link, COLLECT, &mut r)
-                    .expect("party completes");
-                link.finish();
-                out
-            })
+                run_party(&Actor::Member(&member), &opts, link, COLLECT, &mut r)
+                    .expect("party completes")
+            }
         })
         .collect();
-    let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let (results, log) = over_relay(bodies);
     let keys: Vec<_> = results
         .iter()
         .map(|p| p.outcome.session_key.clone().expect("keyed"))
@@ -137,8 +118,5 @@ fn tcp_parties_complete_a_real_network_handshake() {
         assert!(p.outcome.abort.is_none());
         assert_eq!(keys[i], keys[0]);
     }
-    assert!(relay.wait_done(Duration::from_secs(5)), "relay drained");
-    let log = relay.traffic();
     assert!(!log.is_empty(), "relay-side eavesdropper saw the session");
-    relay.shutdown();
 }
